@@ -1,4 +1,4 @@
-//! Dynamic execution: run generated artifacts (configuration files, or
+//! The execute depth: run generated artifacts (configuration files, or
 //! annotated task code for Parsl/PyCOMPSs) on the runtime engine and score
 //! them by what the run actually did.
 //!
@@ -26,25 +26,25 @@
 //! [`ExecutionScore`], so callers can see *why* an artifact stalled on a
 //! given rung without parsing prose.
 //!
-//! Every surface funnels through [`execute_artifact`]: the standalone
-//! [`ExecutionPipeline`] (callers bring their own responses; reference runs
-//! are cached and shared), [`Benchmark::run_execution`] (whole experiment
-//! grids sharded over [`crate::parallel::par_map`] with deterministic
-//! aggregation) and the scoring service's `mode: "execute"` request — so
-//! served scores are bit-identical to composing the stages by hand.
+//! Every surface funnels through [`execute_artifact`]:
+//! [`Benchmark::run_execution`] passes it as the per-trial function of the
+//! benchmark's one grid runner (over the five-system execution rows), and
+//! the scoring service's `mode: "execute"` request calls it per hypothesis
+//! — both against reference runs resolved and cached by an
+//! [`ExecutionPipeline`] — so served scores are bit-identical to composing
+//! the stages by hand.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use wfspeak_codemodel::extract_code;
-use wfspeak_corpus::prompts::{execution_prompt, PromptVariant};
-use wfspeak_corpus::references::execution_reference;
+use wfspeak_corpus::prompts::PromptVariant;
 use wfspeak_corpus::WorkflowSystemId;
-use wfspeak_llm::{CompletionRequest, LlmClient, SamplingParams};
 use wfspeak_runtime::{Engine, EngineConfig, TraceSummary};
 use wfspeak_systems::{workflow_spec_from_config, Diagnostic, DiagnosticKind};
 
-use crate::parallel::par_map;
+use crate::experiments::{rows, RowSet};
+use crate::result::{mean, GridCell};
 use crate::runner::Benchmark;
 
 /// Resource bounds for executing *untrusted generated* workflow specs.
@@ -209,9 +209,9 @@ impl ExecutionScore {
 /// Run one raw model response through the full execution pipeline against a
 /// prepared reference-run summary.
 ///
-/// This is the *only* pipeline implementation: the standalone
-/// [`ExecutionPipeline`], the grid executor ([`Benchmark::run_execution`])
-/// and the scoring service's `execute` mode all call it, so their scores
+/// This is the *only* pipeline implementation: the grid executor
+/// ([`Benchmark::run_execution`]) and the scoring service's `execute` mode
+/// both call it, so their scores
 /// are bit-identical to composing `extract_code` +
 /// `workflow_spec_from_config` + `Engine::run` + `TraceSummary::fidelity`
 /// by hand (pinned by the workspace integration tests).
@@ -326,10 +326,10 @@ pub fn execute_artifact(
     }
 }
 
-/// A standalone execution pipeline: a sandbox plus a cache of reference-run
-/// summaries, for executing caller-supplied responses outside a
-/// [`Benchmark`] grid (the scoring service's `execute` mode runs on one
-/// shared instance across all connections).
+/// A sandbox plus a cache of reference-run summaries: resolves each
+/// reference artifact's run once and executes responses against it.  The
+/// benchmark grid holds one, and the scoring service's `execute` mode runs
+/// on one shared instance across all connections.
 #[derive(Debug)]
 pub struct ExecutionPipeline {
     sandbox: SandboxConfig,
@@ -351,14 +351,6 @@ impl ExecutionPipeline {
     /// A pipeline with the default sandbox and an empty reference cache.
     pub fn new() -> ExecutionPipeline {
         ExecutionPipeline::default()
-    }
-
-    /// A pipeline with an explicit sandbox.
-    pub fn with_sandbox(sandbox: SandboxConfig) -> ExecutionPipeline {
-        ExecutionPipeline {
-            sandbox,
-            ..ExecutionPipeline::default()
-        }
     }
 
     /// Never retain more than `max_entries` reference runs: beyond the cap,
@@ -446,49 +438,21 @@ impl ExecutionPipeline {
         let summary = self.reference_summary(system, reference)?;
         Ok(execute_artifact(&self.sandbox, system, response, &summary))
     }
-
-    /// Execute a batch of responses against one reference, in order.
-    pub fn execute_batch(
-        &self,
-        system: WorkflowSystemId,
-        reference: &str,
-        responses: &[String],
-    ) -> Result<Vec<ExecutionScore>, String> {
-        let summary = self.reference_summary(system, reference)?;
-        Ok(responses
-            .iter()
-            .map(|response| execute_artifact(&self.sandbox, system, response, &summary))
-            .collect())
-    }
 }
 
-/// One fully executed grid cell: every trial of one `(system, model)` pair.
-#[derive(Debug, Clone)]
-pub struct ExecutedCell {
-    /// System row label.
-    pub row: String,
-    /// Model display name.
-    pub model: String,
-    /// Per-trial execution scores, in seed order.
-    pub trials: Vec<ExecutionScore>,
-}
+/// One fully executed grid cell: every trial of one `(system, model)` pair,
+/// per-trial [`ExecutionScore`]s in seed order.
+pub type ExecutedCell = GridCell<ExecutionScore>;
 
 impl ExecutedCell {
-    fn mean(&self, f: impl Fn(&ExecutionScore) -> f64) -> f64 {
-        if self.trials.is_empty() {
-            return 0.0;
-        }
-        self.trials.iter().map(f).sum::<f64>() / self.trials.len() as f64
-    }
-
     /// Mean runnability over the cell's trials.
     pub fn mean_runnability(&self) -> f64 {
-        self.mean(|s| s.runnability)
+        mean(&self.trials, |s| s.runnability)
     }
 
     /// Mean trace fidelity over the cell's trials.
     pub fn mean_fidelity(&self) -> f64 {
-        self.mean(|s| s.trace_fidelity)
+        mean(&self.trials, |s| s.trace_fidelity)
     }
 
     /// Trials that ran to completion.
@@ -569,16 +533,7 @@ impl ExecutionGrid {
     }
 
     fn grid_mean(&self, f: impl Fn(&ExecutionScore) -> f64) -> f64 {
-        let n = self.total_executions();
-        if n == 0 {
-            return 0.0;
-        }
-        self.cells
-            .iter()
-            .flat_map(|c| &c.trials)
-            .map(&f)
-            .sum::<f64>()
-            / n as f64
+        mean(self.cells.iter().flat_map(|c| &c.trials), f)
     }
 
     /// Mean runnability over every execution in the grid.
@@ -670,16 +625,6 @@ impl ExecutionGrid {
     }
 }
 
-/// One grid cell's execution work.
-struct ExecCellJob<'a> {
-    row: String,
-    model: String,
-    client: &'a dyn LlmClient,
-    prompt: String,
-    system: WorkflowSystemId,
-    reference: Arc<TraceSummary>,
-}
-
 impl Benchmark {
     /// Take the full five-system grid through dynamic execution: every
     /// `(system × model × trial)` response is parsed, run on the runtime
@@ -690,65 +635,25 @@ impl Benchmark {
     /// responses to their configuration prompt; Parsl and PyCOMPSs execute
     /// the responses to their annotation prompt, since their workflow
     /// structure lives in annotated task code rather than a configuration
-    /// file (see [`execution_prompt`] / [`execution_reference`]).  Cells
-    /// are executed in parallel on the worker pool
-    /// ([`crate::parallel::par_map`]) while the result preserves declared
-    /// order (system-major, model-minor, trials in seed order), and each
-    /// system's reference run happens once through the benchmark's shared
-    /// [`ExecutionPipeline`].
+    /// file (see [`execution_prompt`](wfspeak_corpus::prompts::execution_prompt)
+    /// / [`execution_reference`](wfspeak_corpus::references::execution_reference)).
+    /// This is the benchmark's one grid runner with [`execute_artifact`] as
+    /// the per-trial function: cells in declared order (system-major,
+    /// model-minor, trials in seed order), and each system's reference run
+    /// resolved once through the benchmark's shared [`ExecutionPipeline`].
     pub fn run_execution(&self, variant: PromptVariant) -> ExecutionGrid {
-        let mut jobs = Vec::new();
-        for system in WorkflowSystemId::execution_systems() {
-            let reference = execution_reference(system);
-            let summary = self
-                .executions
-                .reference_summary(system, reference)
-                .expect("reference artifacts are executable");
-            let prompt = execution_prompt(system, variant);
-            for client in &self.clients {
-                jobs.push(ExecCellJob {
-                    row: system.name().to_owned(),
-                    model: client.model().name().to_owned(),
-                    client: client.as_ref(),
-                    prompt: prompt.clone(),
-                    system,
-                    reference: Arc::clone(&summary),
-                });
-            }
-        }
-        let executed = par_map(&jobs, |job| {
-            self.config
-                .trial_seeds()
-                .into_iter()
-                .map(|seed| {
-                    let params = SamplingParams {
-                        temperature: self.config.temperature,
-                        top_p: self.config.top_p,
-                        seed,
-                    };
-                    let response = job
-                        .client
-                        .complete(&CompletionRequest::new(job.prompt.clone(), params));
-                    execute_artifact(
-                        self.executions.sandbox(),
-                        job.system,
-                        &response.text,
-                        &job.reference,
-                    )
-                })
-                .collect::<Vec<_>>()
-        });
-        ExecutionGrid {
-            cells: jobs
-                .into_iter()
-                .zip(executed)
-                .map(|(job, trials)| ExecutedCell {
-                    row: job.row,
-                    model: job.model,
-                    trials,
-                })
-                .collect(),
-        }
+        let cells = self.run_grid(
+            rows(RowSet::Execution, variant),
+            |row| {
+                self.executions
+                    .reference_summary(row.system, row.reference)
+                    .expect("reference artifacts are executable")
+            },
+            |row, summary, response| {
+                execute_artifact(self.executions.sandbox(), row.system, response, summary)
+            },
+        );
+        ExecutionGrid { cells }
     }
 
     /// The benchmark's shared execution pipeline (sandbox + reference-run
@@ -763,7 +668,7 @@ mod tests {
     use super::*;
     use crate::config::BenchmarkConfig;
     use wfspeak_corpus::references::configs::WILKINS_3NODE;
-    use wfspeak_corpus::references::configuration_reference;
+    use wfspeak_corpus::references::{configuration_reference, execution_reference};
 
     fn quick_benchmark() -> Benchmark {
         Benchmark::with_simulated_models(BenchmarkConfig {
@@ -881,13 +786,11 @@ mod tests {
     fn reference_summaries_are_cached_per_system_and_text() {
         let pipeline = ExecutionPipeline::new();
         let reference = configuration_reference(WorkflowSystemId::Wilkins).unwrap();
-        pipeline
-            .execute_batch(
-                WorkflowSystemId::Wilkins,
-                reference,
-                &["a".into(), "b".into()],
-            )
-            .unwrap();
+        for response in ["a", "b"] {
+            pipeline
+                .execute(WorkflowSystemId::Wilkins, reference, response)
+                .unwrap();
+        }
         assert_eq!(pipeline.cached_references(), 1);
         pipeline
             .execute(WorkflowSystemId::Wilkins, reference, "c")

@@ -1,12 +1,19 @@
-//! Experiment definitions: which cells each of the paper's experiments
-//! contains and the composite result types for the prompt-sensitivity and
-//! few-shot studies.
+//! Experiment definitions: the row source every grid runs over — which
+//! rows each of the paper's experiments (and the execution grid) contains,
+//! with each row's reference and prompt — and the composite result types
+//! for the prompt-sensitivity and few-shot studies.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use wfspeak_corpus::prompts::PromptVariant;
+use wfspeak_corpus::fewshot::augment_configuration_prompt;
+use wfspeak_corpus::prompts::{
+    annotation_prompt, configuration_prompt, execution_prompt, translation_prompt, PromptVariant,
+};
+use wfspeak_corpus::references::{
+    annotation_reference, configuration_reference, execution_reference, translation_reference,
+};
 use wfspeak_corpus::{translation_pair_label, translation_pairs, WorkflowSystemId};
 use wfspeak_metrics::Summary;
 
@@ -51,26 +58,100 @@ impl ExperimentKind {
 
     /// The row labels of this experiment's table, in paper order.
     pub fn row_labels(&self) -> Vec<String> {
-        match self {
-            ExperimentKind::Configuration => WorkflowSystemId::configuration_systems()
-                .into_iter()
-                .map(|s| s.name().to_owned())
-                .collect(),
-            ExperimentKind::Annotation => WorkflowSystemId::annotation_systems()
-                .into_iter()
-                .map(|s| s.name().to_owned())
-                .collect(),
-            ExperimentKind::Translation => translation_pairs()
-                .into_iter()
-                .map(|(s, t)| translation_pair_label(s, t))
-                .collect(),
-        }
+        rows(RowSet::Experiment(*self), PromptVariant::Original)
+            .into_iter()
+            .map(|row| row.label)
+            .collect()
     }
 }
 
 impl std::fmt::Display for ExperimentKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Which rows a grid runs over.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RowSet {
+    /// One experiment's table rows (Tables 1–3).
+    Experiment(ExperimentKind),
+    /// The configuration rows with the 2-node exemplar appended to each
+    /// prompt (Table 5's few-shot row).
+    FewShotConfiguration,
+    /// The five-system execution grid: configuration prompts for systems
+    /// with a configuration file, annotation prompts for Parsl/PyCOMPSs.
+    Execution,
+}
+
+/// One grid row: what every model is asked, and what its answers are
+/// measured against.
+#[derive(Debug)]
+pub(crate) struct Row {
+    /// Row label (system name, or `"A to B"` for translation pairs).
+    pub(crate) label: String,
+    /// The system whose API catalogue and configuration dialect the answers
+    /// must use (for translation, the *target* system).
+    pub(crate) system: WorkflowSystemId,
+    /// The ground-truth artifact.
+    pub(crate) reference: &'static str,
+    /// The prompt every model is queried with.
+    pub(crate) prompt: String,
+}
+
+/// The rows of `set` under prompt `variant`, in the paper's declared order.
+/// This is the only place grid prompts are assembled.
+pub(crate) fn rows(set: RowSet, variant: PromptVariant) -> Vec<Row> {
+    let row = |system: WorkflowSystemId, reference: Option<&'static str>, prompt: String| Row {
+        label: system.name().to_owned(),
+        system,
+        reference: reference.expect("every grid row system has a reference"),
+        prompt,
+    };
+    match set {
+        RowSet::Experiment(ExperimentKind::Configuration) => {
+            WorkflowSystemId::configuration_systems()
+                .into_iter()
+                .map(|s| {
+                    row(
+                        s,
+                        configuration_reference(s),
+                        configuration_prompt(s, variant),
+                    )
+                })
+                .collect()
+        }
+        RowSet::FewShotConfiguration => WorkflowSystemId::configuration_systems()
+            .into_iter()
+            .map(|s| {
+                let prompt = augment_configuration_prompt(&configuration_prompt(s, variant), s);
+                row(s, configuration_reference(s), prompt)
+            })
+            .collect(),
+        RowSet::Experiment(ExperimentKind::Annotation) => WorkflowSystemId::annotation_systems()
+            .into_iter()
+            .map(|s| row(s, annotation_reference(s), annotation_prompt(s, variant)))
+            .collect(),
+        RowSet::Experiment(ExperimentKind::Translation) => translation_pairs()
+            .into_iter()
+            .map(|(source, target)| Row {
+                label: translation_pair_label(source, target),
+                system: target,
+                reference: translation_reference(target)
+                    .expect("translation targets always have a reference"),
+                prompt: translation_prompt(source, target, variant),
+            })
+            .collect(),
+        RowSet::Execution => WorkflowSystemId::execution_systems()
+            .into_iter()
+            .map(|s| {
+                row(
+                    s,
+                    Some(execution_reference(s)),
+                    execution_prompt(s, variant),
+                )
+            })
+            .collect(),
     }
 }
 

@@ -1,5 +1,6 @@
 //! Experiment results: paired BLEU/ChrF score matrices plus rendering in the
-//! paper's table layout.
+//! paper's table layout, and the per-trial cell shape the evaluate and
+//! execute grids report.
 
 use serde::{Deserialize, Serialize};
 
@@ -132,6 +133,40 @@ impl ExperimentResult {
     /// The best row (system / pair) by overall BLEU (the bold row).
     pub fn best_row(&self) -> Option<String> {
         self.bleu.best_row().map(str::to_owned)
+    }
+}
+
+/// One grid cell: every trial of one `(row, model)` pair.  The evaluate
+/// and execute grids report their cells in this shape
+/// ([`EvaluatedCell`](crate::EvaluatedCell) and
+/// [`ExecutedCell`](crate::ExecutedCell)).
+#[derive(Debug, Clone)]
+pub struct GridCell<T> {
+    /// Row label (system name, or `"A to B"` for translation pairs).
+    pub row: String,
+    /// Model display name.
+    pub model: String,
+    /// Per-trial results, in seed order.
+    pub trials: Vec<T>,
+}
+
+/// Mean of `f` over `trials`; 0 when there are none.
+pub(crate) fn mean<'a, T: 'a>(
+    trials: impl IntoIterator<Item = &'a T>,
+    f: impl Fn(&T) -> f64,
+) -> f64 {
+    let mut n = 0usize;
+    let sum: f64 = trials
+        .into_iter()
+        .map(|trial| {
+            n += 1;
+            f(trial)
+        })
+        .sum();
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
     }
 }
 

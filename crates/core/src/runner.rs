@@ -1,16 +1,20 @@
-//! The benchmark runner: prompt assembly, model querying, response
-//! post-processing, scoring and aggregation.
+//! The benchmark runner: the one grid runner every depth shares, the
+//! score-depth experiments built on it, and the shared reference cache.
 //!
-//! Scoring is the hot path of the reproduction, so the runner leans on two
-//! mechanisms from `wfspeak-metrics`:
+//! Every grid — score ([`Benchmark::run_experiment`]), evaluate
+//! ([`Benchmark::run_evaluation`]) and execute ([`Benchmark::run_execution`])
+//! — takes its rows from one row source (the crate-private `rows` in
+//! [`crate::experiments`]) and runs through one private grid runner that
+//! differs per depth only in the per-trial function it maps each model
+//! response through.  The runner leans on two mechanisms:
 //!
 //! * a [`ReferenceCache`] that prepares (tokenises, interns and counts) each
 //!   ground-truth reference **once** per benchmark and shares the prepared
-//!   data across every cell, trial and prompt variant scored against it;
-//! * a parallel grid: the `(system row × model)` cells of an experiment are
-//!   scored on scoped threads ([`crate::parallel::par_map`]) while
-//!   aggregation into [`ExperimentResult`] happens afterwards in declared
-//!   row/column/trial order, so results are deterministic regardless of
+//!   data across every cell, trial, depth and prompt variant scored against
+//!   it — looked up once per row;
+//! * a parallel grid: the `(row × model)` cells are run on scoped threads
+//!   ([`crate::parallel::par_map`]) while the cells come back in declared
+//!   row/model/trial order, so results are deterministic regardless of
 //!   scheduling.
 
 use std::collections::{BTreeMap, HashMap};
@@ -20,21 +24,15 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use wfspeak_codemodel::extract_code;
-use wfspeak_corpus::prompts::{
-    annotation_prompt, configuration_prompt, translation_prompt, PromptVariant,
-};
-use wfspeak_corpus::references::{
-    annotation_reference, configuration_reference, translation_reference,
-};
-use wfspeak_corpus::{fewshot, translation_pair_label, translation_pairs, WorkflowSystemId};
+use wfspeak_corpus::prompts::PromptVariant;
 use wfspeak_llm::{CompletionRequest, LlmClient, SamplingParams, SimulatedLlm};
 use wfspeak_metrics::{BleuScorer, CacheStats, ChrfScorer, PreparedReference, Scorer};
 
 use crate::config::BenchmarkConfig;
 use crate::exec::ExecutionPipeline;
-use crate::experiments::{ExperimentKind, FewShotComparison, PromptSensitivity};
+use crate::experiments::{rows, ExperimentKind, FewShotComparison, PromptSensitivity, Row, RowSet};
 use crate::parallel::par_map;
-use crate::result::ExperimentResult;
+use crate::result::{ExperimentResult, GridCell};
 
 /// A reference prepared for both metrics.
 #[derive(Debug)]
@@ -184,16 +182,6 @@ impl ReferenceCache {
     }
 }
 
-/// One grid cell's work: a client queried with one prompt, scored against
-/// one prepared reference over all trials.
-struct CellJob<'a> {
-    row: String,
-    model: String,
-    client: &'a dyn LlmClient,
-    prompt: String,
-    prepared: Arc<PreparedPair>,
-}
-
 /// The benchmark: a set of models plus the run configuration.
 pub struct Benchmark {
     pub(crate) clients: Vec<Box<dyn LlmClient>>,
@@ -258,67 +246,98 @@ impl Benchmark {
     /// Wilkins/ADIOS2 YAML, plus Henson scripts and degraded-tier output
     /// that exercise the parser's failure categories.
     pub fn configuration_corpus(&self) -> Vec<String> {
-        let mut corpus = Vec::new();
-        for variant in &PromptVariant::ALL[..3] {
-            for system in WorkflowSystemId::configuration_systems() {
-                let prompt = configuration_prompt(system, *variant);
-                for client in &self.clients {
-                    for seed in self.config.trial_seeds() {
-                        let params = SamplingParams {
-                            temperature: self.config.temperature,
-                            top_p: self.config.top_p,
-                            seed,
-                        };
-                        let response =
-                            client.complete(&CompletionRequest::new(prompt.clone(), params));
-                        corpus.push(extract_code(&response.text));
-                    }
-                }
-            }
-        }
-        corpus
+        let configuration = RowSet::Experiment(ExperimentKind::Configuration);
+        PromptVariant::ALL[..3]
+            .iter()
+            .flat_map(|&variant| {
+                self.run_grid(
+                    rows(configuration, variant),
+                    |_| (),
+                    |_, _, response| extract_code(response),
+                )
+            })
+            .flat_map(|cell| cell.trials)
+            .collect()
     }
 
-    /// Run one `(prompt, reference)` cell for one client over all trials,
-    /// returning `(bleu, chrf)` per trial in seed order.  The reference
-    /// arrives pre-tokenised and pre-counted as a [`PreparedPair`], so each
-    /// trial only pays for scoring its own hypothesis.
-    fn run_cell(
+    /// The one grid runner behind every depth.  Each row's context (its
+    /// prepared reference, or its reference run) is resolved once, in row
+    /// order; then every `(row × model)` cell queries its client once per
+    /// trial in seed order on the worker pool ([`par_map`]) and maps each
+    /// response through `trial`.  Cells come back in declared order —
+    /// row-major, model-minor, trials in seed order — whatever the
+    /// scheduling, so results are deterministic.
+    pub(crate) fn run_grid<C: Sync, T: Send>(
         &self,
-        client: &dyn LlmClient,
-        prompt: &str,
-        prepared: &PreparedPair,
-    ) -> Vec<(f64, f64)> {
-        self.config
-            .trial_seeds()
+        rows: Vec<Row>,
+        context: impl Fn(&Row) -> C,
+        trial: impl Fn(&Row, &C, &str) -> T + Sync,
+    ) -> Vec<GridCell<T>> {
+        let rows: Vec<(Row, C)> = rows
             .into_iter()
-            .map(|seed| {
-                let params = SamplingParams {
-                    temperature: self.config.temperature,
-                    top_p: self.config.top_p,
-                    seed,
-                };
-                let response = client.complete(&CompletionRequest::new(prompt.to_owned(), params));
-                let code = extract_code(&response.text);
-                let bleu = self.bleu.score_prepared(&code, &prepared.bleu);
-                let chrf = self.chrf.score_prepared(&code, &prepared.chrf);
-                (bleu, chrf)
+            .map(|row| {
+                let context = context(&row);
+                (row, context)
+            })
+            .collect();
+        let jobs: Vec<(&Row, &C, &dyn LlmClient)> = rows
+            .iter()
+            .flat_map(|(row, context)| {
+                self.clients
+                    .iter()
+                    .map(move |client| (row, context, client.as_ref()))
+            })
+            .collect();
+        let trials = par_map(&jobs, |&(row, context, client)| {
+            self.config
+                .trial_seeds()
+                .into_iter()
+                .map(|seed| {
+                    let params = SamplingParams {
+                        temperature: self.config.temperature,
+                        top_p: self.config.top_p,
+                        seed,
+                    };
+                    let response =
+                        client.complete(&CompletionRequest::new(row.prompt.clone(), params));
+                    trial(row, context, &response.text)
+                })
+                .collect()
+        });
+        jobs.iter()
+            .zip(trials)
+            .map(|(&(row, _, client), trials)| GridCell {
+                row: row.label.clone(),
+                model: client.model().name().to_owned(),
+                trials,
             })
             .collect()
     }
 
-    /// Score a list of cell jobs in parallel and aggregate deterministically:
-    /// jobs are scored on scoped threads, but pushed into the result in job
-    /// order (system-major, model-minor, trials in seed order) — exactly the
-    /// order the sequential seed implementation produced.
-    fn run_grid(&self, rows: &[String], jobs: Vec<CellJob<'_>>) -> ExperimentResult {
-        let mut result = ExperimentResult::with_labels(rows, &self.model_names());
-        let scored = par_map(&jobs, |job| {
-            self.run_cell(job.client, &job.prompt, &job.prepared)
-        });
-        for (job, trials) in jobs.iter().zip(scored) {
-            for (bleu, chrf) in trials {
-                result.push(&job.row, &job.model, bleu, chrf);
+    /// Score one row set at score depth: extract each response's code and
+    /// compute BLEU/ChrF against the row's reference, prepared once through
+    /// the shared [`ReferenceCache`].
+    fn score_grid(&self, set: RowSet, variant: PromptVariant) -> ExperimentResult {
+        let rows = rows(set, variant);
+        let labels: Vec<String> = rows.iter().map(|row| row.label.clone()).collect();
+        let mut result = ExperimentResult::with_labels(&labels, &self.model_names());
+        let cells = self.run_grid(
+            rows,
+            |row| {
+                self.references
+                    .get_or_prepare(&self.bleu, &self.chrf, row.reference)
+            },
+            |_, prepared, response| {
+                let code = extract_code(response);
+                (
+                    self.bleu.score_prepared(&code, &prepared.bleu),
+                    self.chrf.score_prepared(&code, &prepared.chrf),
+                )
+            },
+        );
+        for cell in cells {
+            for (bleu, chrf) in cell.trials {
+                result.push(&cell.row, &cell.model, bleu, chrf);
             }
         }
         result
@@ -327,87 +346,27 @@ impl Benchmark {
     /// The workflow-configuration experiment (Table 1).  Set `few_shot` to
     /// augment the prompt with the 2-node exemplar (Table 5's second row).
     pub fn run_configuration(&self, variant: PromptVariant, few_shot: bool) -> ExperimentResult {
-        let rows = ExperimentKind::Configuration.row_labels();
-        let mut jobs = Vec::new();
-        for system in WorkflowSystemId::configuration_systems() {
-            let reference = configuration_reference(system)
-                .expect("configuration systems always have a reference");
-            let prepared = self
-                .references
-                .get_or_prepare(&self.bleu, &self.chrf, reference);
-            let mut prompt = configuration_prompt(system, variant);
-            if few_shot {
-                prompt = fewshot::augment_configuration_prompt(&prompt, system);
-            }
-            for client in &self.clients {
-                jobs.push(CellJob {
-                    row: system.name().to_owned(),
-                    model: client.model().name().to_owned(),
-                    client: client.as_ref(),
-                    prompt: prompt.clone(),
-                    prepared: Arc::clone(&prepared),
-                });
-            }
-        }
-        self.run_grid(&rows, jobs)
+        let set = if few_shot {
+            RowSet::FewShotConfiguration
+        } else {
+            RowSet::Experiment(ExperimentKind::Configuration)
+        };
+        self.score_grid(set, variant)
     }
 
     /// The task-code-annotation experiment (Table 2).
     pub fn run_annotation(&self, variant: PromptVariant) -> ExperimentResult {
-        let rows = ExperimentKind::Annotation.row_labels();
-        let mut jobs = Vec::new();
-        for system in WorkflowSystemId::annotation_systems() {
-            let reference =
-                annotation_reference(system).expect("annotation systems always have a reference");
-            let prepared = self
-                .references
-                .get_or_prepare(&self.bleu, &self.chrf, reference);
-            let prompt = annotation_prompt(system, variant);
-            for client in &self.clients {
-                jobs.push(CellJob {
-                    row: system.name().to_owned(),
-                    model: client.model().name().to_owned(),
-                    client: client.as_ref(),
-                    prompt: prompt.clone(),
-                    prepared: Arc::clone(&prepared),
-                });
-            }
-        }
-        self.run_grid(&rows, jobs)
+        self.run_experiment(ExperimentKind::Annotation, variant)
     }
 
     /// The task-code-translation experiment (Table 3).
     pub fn run_translation(&self, variant: PromptVariant) -> ExperimentResult {
-        let rows = ExperimentKind::Translation.row_labels();
-        let mut jobs = Vec::new();
-        for (source, target) in translation_pairs() {
-            let reference =
-                translation_reference(target).expect("translation targets always have a reference");
-            let prepared = self
-                .references
-                .get_or_prepare(&self.bleu, &self.chrf, reference);
-            let prompt = translation_prompt(source, target, variant);
-            let row = translation_pair_label(source, target);
-            for client in &self.clients {
-                jobs.push(CellJob {
-                    row: row.clone(),
-                    model: client.model().name().to_owned(),
-                    client: client.as_ref(),
-                    prompt: prompt.clone(),
-                    prepared: Arc::clone(&prepared),
-                });
-            }
-        }
-        self.run_grid(&rows, jobs)
+        self.run_experiment(ExperimentKind::Translation, variant)
     }
 
     /// Run one experiment with one prompt variant.
     pub fn run_experiment(&self, kind: ExperimentKind, variant: PromptVariant) -> ExperimentResult {
-        match kind {
-            ExperimentKind::Configuration => self.run_configuration(variant, false),
-            ExperimentKind::Annotation => self.run_annotation(variant),
-            ExperimentKind::Translation => self.run_translation(variant),
-        }
+        self.score_grid(RowSet::Experiment(kind), variant)
     }
 
     /// The prompt-sensitivity study (Figure 1): every experiment under every
@@ -500,33 +459,6 @@ mod tests {
                     a.cell(Metric::Bleu, row, col).mean,
                     b.cell(Metric::Bleu, row, col).mean,
                     "{row}/{col}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_grid_matches_sequential_cell_scoring() {
-        // Rebuild every cell of the parallel grid result sequentially through
-        // run_cell and compare the raw per-trial samples: the parallel path
-        // must change scheduling only, never values or their order.
-        let benchmark = quick_benchmark();
-        let result = benchmark.run_configuration(PromptVariant::Original, false);
-        for system in WorkflowSystemId::configuration_systems() {
-            let reference = configuration_reference(system).unwrap();
-            let prepared =
-                benchmark
-                    .references
-                    .get_or_prepare(&benchmark.bleu, &benchmark.chrf, reference);
-            let prompt = configuration_prompt(system, PromptVariant::Original);
-            for client in &benchmark.clients {
-                let trials = benchmark.run_cell(client.as_ref(), &prompt, &prepared);
-                let bleu_samples: Vec<f64> = trials.iter().map(|t| t.0).collect();
-                assert_eq!(
-                    result.bleu.samples(system.name(), client.model().name()),
-                    bleu_samples.as_slice(),
-                    "{system:?}/{}",
-                    client.model().name()
                 );
             }
         }

@@ -104,18 +104,22 @@ pub struct ScoreRequest {
     pub task: String,
     /// Workflow system whose ground-truth artifact is the reference (for
     /// `translation`, the *target* system). Ignored when `reference_id` or
-    /// `reference_text` is given — except by `evaluate` requests, which
-    /// always need a system for API-call comparison.
+    /// `reference_text` is given — except by `evaluate` and `execute`
+    /// requests, which always need a system: `evaluate` for API-call
+    /// comparison, `execute` to pick the configuration dialect.
     pub system: String,
     /// Combined `"task/system"` reference address; overrides `task`/`system`.
     pub reference_id: Option<String>,
     /// Literal reference text; overrides every other addressing field.
     pub reference_text: Option<String>,
     /// Processing mode: empty or `"score"` for plain scoring, `"evaluate"`
-    /// for the full extraction → comparison → scoring pipeline.
+    /// for the full extraction → comparison → scoring pipeline, or
+    /// `"execute"` to run each response's artifact on the runtime engine
+    /// and score runnability and trace fidelity.
     pub mode: String,
-    /// The hypotheses to score, in order. For `evaluate` requests these are
-    /// raw model responses (fences and prose are stripped server-side).
+    /// The hypotheses to score, in order. For `evaluate` and `execute`
+    /// requests these are raw model responses (fences and prose are
+    /// stripped server-side).
     pub hypotheses: Vec<String>,
     /// Per-request deadline in milliseconds, measured server-side from
     /// admission to the job queue. A job still queued when its deadline

@@ -54,10 +54,12 @@ use bytes::Bytes;
 use crossbeam_channel::{bounded, Receiver, SendTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use polling::{Event, Interest, Poller};
-use wfspeak_core::eval::{evaluate_prepared, SystemProfile};
-use wfspeak_core::exec::ExecutionPipeline;
-use wfspeak_core::{ReferenceCache, WorkflowSystemId};
+use wfspeak_core::{
+    evaluate_prepared, execute_artifact, ExecutionPipeline, ReferenceCache, SystemProfile,
+    WorkflowSystemId,
+};
 use wfspeak_metrics::{BleuScorer, ChrfScorer, Scorer};
+use wfspeak_runtime::TraceSummary;
 
 use crate::faults::{FaultAction, FaultInjector, FaultPlan, WriteFault};
 use crate::framing::FrameDecoder;
@@ -223,132 +225,111 @@ impl ServiceState {
         }
     }
 
-    /// Execute one request. Both modes funnel through exactly the code the
-    /// in-process paths use — `Scorer::score_prepared` for scoring,
-    /// `wfspeak_core::eval::evaluate_prepared` for the full pipeline — so
-    /// served results are bit-identical to direct composition.
-    fn handle(&self, request: &ScoreRequest) -> ScoreResponse {
-        let mode = match request.resolve_mode() {
-            Ok(mode) => mode,
-            Err(message) => return ScoreResponse::failure(request.id, message),
-        };
-        let reference = match request.resolve_reference() {
-            Ok(Some(reference)) => reference,
-            Ok(None) => return ScoreResponse::stats(request.id, self.stats()),
-            Err(message) => return ScoreResponse::failure(request.id, message),
+    /// Resolve a request into its typed work item, running every fallible
+    /// step — mode, reference, workflow system, batch cap, reference run —
+    /// before anything is counted.  `Ok(None)` is a `stats` request.
+    fn resolve<'r>(&self, request: &'r ScoreRequest) -> Result<Option<Work<'r>>, String> {
+        let mode = request.resolve_mode()?;
+        let Some(reference) = request.resolve_reference()? else {
+            return Ok(None);
         };
         // Evaluate needs a workflow system for API-call comparison; execute
         // needs one to pick the configuration dialect — even when the
         // reference text arrives inline.
-        let system_id = match mode {
-            RequestMode::Score => None,
-            RequestMode::Evaluate | RequestMode::Execute => {
-                let Some(name) = request.resolve_system_name() else {
-                    return ScoreResponse::failure(
-                        request.id,
-                        "evaluate/execute requests must name a workflow system \
-                         (`system` or `reference_id`)",
-                    );
-                };
-                match WorkflowSystemId::from_name(name) {
-                    Some(id) => Some(id),
-                    None => {
-                        return ScoreResponse::failure(
-                            request.id,
-                            format!("unknown workflow system `{name}`"),
-                        )
-                    }
-                }
-            }
+        let system = || {
+            let name = request.resolve_system_name().ok_or(
+                "evaluate/execute requests must name a workflow system \
+                 (`system` or `reference_id`)",
+            )?;
+            WorkflowSystemId::from_name(name)
+                .ok_or_else(|| format!("unknown workflow system `{name}`"))
         };
-        if mode == RequestMode::Execute {
-            // `system_id` is always `Some` here (resolved just above for
-            // execute mode), but the invariant is guarded by a typed
-            // protocol error rather than an `expect`: no request shape may
-            // ever panic a worker, even without the `catch_unwind` backstop.
-            let Some(system) = system_id else {
-                return ScoreResponse::failure(
-                    request.id,
-                    "execute requests must name a workflow system \
-                     (`system` or `reference_id`)",
-                );
-            };
-            // Executions cost real threads and (for stalling specs) real
-            // sandbox-timeout seconds each; bound what one request can pin
-            // a worker with.
-            if request.hypotheses.len() > self.max_execute_batch {
-                return ScoreResponse::failure(
-                    request.id,
-                    format!(
+        Ok(Some(match mode {
+            RequestMode::Score => Work::Score(reference),
+            RequestMode::Evaluate => {
+                Work::Evaluate(reference, SystemProfile::for_system(system()?))
+            }
+            RequestMode::Execute => {
+                let system = system()?;
+                // Executions cost real threads and (for stalling specs) real
+                // sandbox-timeout seconds each; bound what one request can
+                // pin a worker with.
+                if request.hypotheses.len() > self.max_execute_batch {
+                    return Err(format!(
                         "execute batch of {} exceeds the per-request cap of {}; \
                          split it across pipelined requests",
                         request.hypotheses.len(),
                         self.max_execute_batch
-                    ),
-                );
+                    ));
+                }
+                Work::Execute(system, self.executor.reference_summary(system, reference)?)
             }
-            // Resolve the reference run first so a bad reference is a
-            // failure (uncounted), matching every other addressing error.
-            let summary = match self.executor.reference_summary(system, reference) {
-                Ok(summary) => summary,
-                Err(message) => return ScoreResponse::failure(request.id, message),
-            };
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.hypotheses
-                .fetch_add(request.hypotheses.len() as u64, Ordering::Relaxed);
-            let executions: Vec<ExecutionScore> = request
-                .hypotheses
-                .iter()
-                .map(|response| {
-                    ExecutionScore::from_execution(&wfspeak_core::exec::execute_artifact(
-                        self.executor.sandbox(),
-                        system,
-                        response,
-                        &summary,
-                    ))
-                })
-                .collect();
-            return ScoreResponse::executed(request.id, executions);
-        }
-        let profile = system_id.map(SystemProfile::for_system);
-        // Counted at admission, before the cache lookup, so a concurrent
-        // `stats` snapshot never shows more cache traffic than the request
-        // count can explain.
+        }))
+    }
+
+    /// Answer one request.  Every depth funnels through exactly the code
+    /// the in-process grids use — `Scorer::score_prepared`,
+    /// `wfspeak_core::evaluate_prepared` and `wfspeak_core::execute_artifact`
+    /// — so served results are bit-identical to direct composition.
+    fn handle(&self, request: &ScoreRequest) -> ScoreResponse {
+        let work = match self.resolve(request) {
+            Ok(Some(work)) => work,
+            Ok(None) => return ScoreResponse::stats(request.id, self.stats()),
+            Err(message) => return ScoreResponse::failure(request.id, message),
+        };
+        // Counted once the request is known to be answerable, before the
+        // cache lookup, so a concurrent `stats` snapshot never shows more
+        // cache traffic than the request count can explain.
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.hypotheses
             .fetch_add(request.hypotheses.len() as u64, Ordering::Relaxed);
-        let prepared = self.cache.get_or_prepare_bounded(
-            &self.bleu,
-            &self.chrf,
-            reference,
-            self.max_cached_references,
-        );
-        match profile {
-            None => {
-                let scores: Vec<HypothesisScore> = request
-                    .hypotheses
-                    .iter()
-                    .map(|hypothesis| HypothesisScore {
-                        bleu: self.bleu.score_prepared(hypothesis, &prepared.bleu),
-                        chrf: self.chrf.score_prepared(hypothesis, &prepared.chrf),
-                    })
-                    .collect();
-                ScoreResponse::success(request.id, scores)
+        let prepare = |reference| {
+            self.cache.get_or_prepare_bounded(
+                &self.bleu,
+                &self.chrf,
+                reference,
+                self.max_cached_references,
+            )
+        };
+        let hypotheses = request.hypotheses.iter();
+        match work {
+            Work::Score(reference) => {
+                let prepared = prepare(reference);
+                let scores = hypotheses.map(|hypothesis| HypothesisScore {
+                    bleu: self.bleu.score_prepared(hypothesis, &prepared.bleu),
+                    chrf: self.chrf.score_prepared(hypothesis, &prepared.chrf),
+                });
+                ScoreResponse::success(request.id, scores.collect())
             }
-            Some(profile) => {
-                let evaluations: Vec<EvaluationScore> = request
-                    .hypotheses
-                    .iter()
-                    .map(|response| {
-                        EvaluationScore::from_evaluation(&evaluate_prepared(
-                            &self.bleu, &self.chrf, &prepared, &profile, response,
-                        ))
-                    })
-                    .collect();
-                ScoreResponse::evaluated(request.id, evaluations)
+            Work::Evaluate(reference, profile) => {
+                let prepared = prepare(reference);
+                let evaluations = hypotheses.map(|response| {
+                    EvaluationScore::from_evaluation(&evaluate_prepared(
+                        &self.bleu, &self.chrf, &prepared, &profile, response,
+                    ))
+                });
+                ScoreResponse::evaluated(request.id, evaluations.collect())
+            }
+            Work::Execute(system, summary) => {
+                let sandbox = self.executor.sandbox();
+                let executions = hypotheses.map(|response| {
+                    ExecutionScore::from_execution(&execute_artifact(
+                        sandbox, system, response, &summary,
+                    ))
+                });
+                ScoreResponse::executed(request.id, executions.collect())
             }
         }
     }
+}
+
+/// A request resolved to the depth it asks for, with everything that depth
+/// needs looked up: the reference text, the evaluated system's API
+/// profile, or the executed system and its reference run.
+enum Work<'r> {
+    Score(&'r str),
+    Evaluate(&'r str, SystemProfile),
+    Execute(WorkflowSystemId, Arc<TraceSummary>),
 }
 
 /// One I/O loop's cross-thread mailbox: its poller (for wakeups), the
@@ -1371,16 +1352,81 @@ mod tests {
 
     #[test]
     fn state_reports_failures_without_counting_them() {
+        let request = |mode: &str, edit: fn(&mut ScoreRequest)| {
+            let mut request = ScoreRequest {
+                id: 3,
+                task: TaskKind::Execution.name().to_owned(),
+                system: "Wilkins".to_owned(),
+                mode: mode.to_owned(),
+                hypotheses: vec!["x".into()],
+                ..ScoreRequest::default()
+            };
+            edit(&mut request);
+            request
+        };
+        // (what the error must name, request) — every addressing failure in
+        // every mode, plus the execute-only rejections.
+        let mut cases = vec![("translate", request("translate", |_| {}))];
+        for mode in ["score", "evaluate", "execute"] {
+            cases.extend([
+                (
+                    "NoSuchSystem",
+                    request(mode, |r| r.system = "NoSuchSystem".into()),
+                ),
+                (
+                    "no-slash",
+                    request(mode, |r| r.reference_id = Some("no-slash".into())),
+                ),
+                (
+                    "bogus",
+                    request(mode, |r| r.reference_id = Some("bogus/Henson".into())),
+                ),
+            ]);
+        }
+        for mode in ["evaluate", "execute"] {
+            let missing_system = request(mode, |r| {
+                r.system.clear();
+                r.reference_text = Some("tasks: []".into());
+            });
+            cases.push(("workflow system", missing_system));
+        }
+        cases.extend([
+            (
+                "cap",
+                request("execute", |r| r.hypotheses = vec!["x".into(); 65]),
+            ),
+            (
+                "reference",
+                request("execute", |r| {
+                    r.reference_id = Some("annotation/Henson".into())
+                }),
+            ),
+        ]);
+
         let state = ServiceState::new(&ServiceConfig::default()).unwrap();
-        let response = state.handle(&ScoreRequest::by_id(
-            3,
-            TaskKind::Configuration,
-            "NoSuchSystem",
-            vec!["x".into()],
-        ));
-        assert!(!response.ok);
-        assert!(response.error.unwrap().contains("NoSuchSystem"));
-        assert_eq!(state.stats().requests, 0);
+        for (reason, case) in &cases {
+            let response = state.handle(case);
+            assert!(!response.ok, "{case:?}");
+            assert_eq!(response.id, 3);
+            let error = response.error.unwrap_or_default();
+            assert!(error.contains(reason), "{case:?}: {error}");
+            let stats = state.stats();
+            assert_eq!(
+                (
+                    stats.requests,
+                    stats.hypotheses,
+                    stats.cache_hits,
+                    stats.cache_misses,
+                    state.executor.cached_references(),
+                ),
+                (0, 0, 0, 0, 0),
+                "{case:?}: failures are not counted"
+            );
+        }
+        // Unbroken, the same request is answered in every mode.
+        for mode in ["score", "evaluate", "execute"] {
+            assert!(state.handle(&request(mode, |_| {})).ok, "{mode}");
+        }
     }
 
     #[test]
