@@ -211,10 +211,10 @@ impl ExecutionScore {
 ///
 /// This is the *only* pipeline implementation: the grid executor
 /// ([`Benchmark::run_execution`]) and the scoring service's `execute` mode
-/// both call it, so their scores
-/// are bit-identical to composing `extract_code` +
-/// `workflow_spec_from_config` + `Engine::run` + `TraceSummary::fidelity`
-/// by hand (pinned by the workspace integration tests).
+/// both call it, so their scores are bit-identical to composing
+/// `extract_code` + `workflow_spec_from_config` + `Engine::run` +
+/// `TraceSummary::fidelity` by hand (pinned by the workspace integration
+/// tests).
 pub fn execute_artifact(
     sandbox: &SandboxConfig,
     system: WorkflowSystemId,
