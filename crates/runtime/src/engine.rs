@@ -1,22 +1,13 @@
-//! The workflow engine: builds the task graph from a specification, runs
-//! each task's process group on threads and collects the outcome.
+//! The workflow engine: builds the links from a specification, runs each
+//! task to completion in dependency order and collects the outcome.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use crossbeam_channel::bounded;
-use parking_lot::Mutex;
 
 use wfspeak_systems::spec::DataRole;
 use wfspeak_systems::wilkins::WilkinsConfig;
 use wfspeak_systems::WorkflowSpec;
 
-use crate::data::DataMessage;
-use crate::task::{
-    rank_rng, ConsumerBehavior, ProducerBehavior, ReduceGroup, RelayBehavior, TaskBehavior,
-    TaskContext,
-};
+use crate::task::{self, Links};
 use crate::trace::{EventKind, ExecutionTrace};
 
 /// Engine tuning knobs.
@@ -26,10 +17,6 @@ pub struct EngineConfig {
     pub timesteps: usize,
     /// Elements per rank in generated arrays (benchmark default 50).
     pub elements: usize,
-    /// Bounded channel capacity per link.
-    pub channel_capacity: usize,
-    /// Send/receive timeout per operation, in milliseconds.
-    pub timeout_ms: u64,
     /// RNG seed for data generation.
     pub seed: u64,
     /// Inject a failure into this task at timestep 1 (failure-handling tests).
@@ -41,8 +28,6 @@ impl Default for EngineConfig {
         EngineConfig {
             timesteps: 3,
             elements: 50,
-            channel_capacity: 8,
-            timeout_ms: 2_000,
             seed: 42,
             fail_task: None,
         }
@@ -77,8 +62,6 @@ pub struct RunOutcome {
     pub completed: bool,
     /// Timesteps executed.
     pub timesteps: usize,
-    /// Wall-clock duration of the run.
-    pub duration: Duration,
     /// Per-consumer sums of the datasets received (task → sums in arrival
     /// order).
     pub consumer_sums: HashMap<String, Vec<f64>>,
@@ -114,153 +97,62 @@ impl Engine {
     }
 
     /// Run a neutral workflow specification.
+    ///
+    /// Validation rejects cyclic specs, so the tasks run one at a time in
+    /// dependency order; a task never starts before every task it reads
+    /// from has finished.
     pub fn run(&self, spec: &WorkflowSpec) -> Result<RunOutcome, EngineError> {
         if let Some(diagnostic) = spec.validate().iter().find(|d| d.is_error()) {
             return Err(EngineError::InvalidSpec(diagnostic.to_string()));
         }
-        let start = Instant::now();
-        let trace = ExecutionTrace::new();
-
-        // Build one bounded channel per (producer, consumer, dataset) edge.
-        let mut senders: HashMap<(String, String), Vec<crossbeam_channel::Sender<DataMessage>>> =
-            HashMap::new();
-        let mut receivers: HashMap<(String, String), crossbeam_channel::Receiver<DataMessage>> =
-            HashMap::new();
-        for (producer, consumer, dataset) in spec.edges() {
-            let (tx, rx) = bounded(self.config.channel_capacity);
-            senders
-                .entry((producer.clone(), dataset.clone()))
-                .or_default()
-                .push(tx);
-            receivers.insert((consumer, dataset), rx);
-        }
-
-        let results: Arc<Mutex<HashMap<String, Vec<f64>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let mut handles = Vec::new();
-
-        for task in &spec.tasks {
+        let order = spec
+            .topological_order()
+            .expect("validation rejects cyclic specs");
+        let mut links = Links::new(spec);
+        let mut consumer_sums = HashMap::new();
+        for task in order.into_iter().map(|i| &spec.tasks[i]) {
+            links.trace.record(&task.name, EventKind::TaskStarted);
+            // A task that only produces is a producer; every other task is a
+            // relay, and one with no inputs finishes at once.
             let produces = task.data.iter().any(|d| d.role == DataRole::Produces);
             let consumes = task.data.iter().any(|d| d.role == DataRole::Consumes);
-            let behavior: Arc<dyn TaskBehavior> = match (produces, consumes) {
-                // Interior stage: drain inputs and republish downstream.
-                (true, true) => Arc::new(RelayBehavior),
-                (true, false) => Arc::new(ProducerBehavior),
-                _ => Arc::new(ConsumerBehavior),
+            let result = if produces && !consumes {
+                task::produce(task, &self.config, &mut links).map(|()| Vec::new())
+            } else {
+                task::relay(task, &self.config, &mut links)
             };
-            let reduce = Arc::new(ReduceGroup::new(task.nprocs));
-            trace.record(&task.name, 0, EventKind::TaskStarted);
-
-            for rank in 0..task.nprocs {
-                let mut outputs: HashMap<String, Vec<crossbeam_channel::Sender<DataMessage>>> =
-                    HashMap::new();
-                let mut inputs: HashMap<String, crossbeam_channel::Receiver<DataMessage>> =
-                    HashMap::new();
-                let mut group_paths = HashMap::new();
-                if rank == 0 {
-                    for req in &task.data {
-                        group_paths.insert(req.dataset.clone(), req.group_path.clone());
-                        match req.role {
-                            DataRole::Produces => {
-                                if let Some(txs) =
-                                    senders.get(&(task.name.clone(), req.dataset.clone()))
-                                {
-                                    outputs.insert(req.dataset.clone(), txs.clone());
-                                } else {
-                                    // Dataset produced but never consumed: no links.
-                                    outputs.insert(req.dataset.clone(), Vec::new());
-                                }
-                            }
-                            DataRole::Consumes => {
-                                if let Some(rx) =
-                                    receivers.remove(&(task.name.clone(), req.dataset.clone()))
-                                {
-                                    inputs.insert(req.dataset.clone(), rx);
-                                }
-                            }
-                        }
+            match result {
+                Ok(sums) => {
+                    links.trace.record(&task.name, EventKind::TaskFinished);
+                    if !sums.is_empty() {
+                        consumer_sums.insert(task.name.clone(), sums);
                     }
                 }
-                let fail_at_step = match &self.config.fail_task {
-                    Some(name) if name == &task.name && rank == 0 => Some(1),
-                    _ => None,
-                };
-                let mut ctx = TaskContext {
-                    task: task.name.clone(),
-                    rank,
-                    nprocs: task.nprocs,
-                    timesteps: self.config.timesteps,
-                    elements: self.config.elements,
-                    outputs,
-                    inputs,
-                    group_paths,
-                    reduce: reduce.clone(),
-                    trace: trace.clone(),
-                    rng: rank_rng(self.config.seed, &task.name, rank),
-                    timeout_ms: self.config.timeout_ms,
-                    received_sums: Vec::new(),
-                    fail_at_step,
-                };
-                let behavior = behavior.clone();
-                let results = results.clone();
-                let trace = trace.clone();
-                let task_name = task.name.clone();
-                handles.push(std::thread::spawn(move || match behavior.run(&mut ctx) {
-                    Ok(()) => {
-                        if rank == 0 {
-                            trace.record(&task_name, rank, EventKind::TaskFinished);
-                        }
-                        if !ctx.received_sums.is_empty() {
-                            results
-                                .lock()
-                                .entry(task_name.clone())
-                                .or_default()
-                                .extend(ctx.received_sums);
-                        }
-                        true
-                    }
-                    Err(reason) => {
-                        trace.record(&task_name, rank, EventKind::TaskFailed { reason });
-                        false
-                    }
-                }));
+                Err(reason) => {
+                    links
+                        .trace
+                        .record(&task.name, EventKind::TaskFailed { reason });
+                }
             }
         }
-
-        let mut all_ok = true;
-        for handle in handles {
-            match handle.join() {
-                Ok(ok) => all_ok &= ok,
-                Err(_) => all_ok = false,
-            }
-        }
-
-        let consumer_sums = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| arc.lock().clone());
+        let trace = links.trace;
         let failed_tasks = trace.failed_tasks();
 
         // Completion additionally requires every consumer to have seen every
         // timestep of every dataset it subscribes to.
-        let mut delivery_ok = true;
-        for task in &spec.tasks {
-            let expected: usize = task
+        let delivery_ok = spec.tasks.iter().all(|task| {
+            let expected = task
                 .data
                 .iter()
                 .filter(|d| d.role == DataRole::Consumes)
                 .count()
                 * self.config.timesteps;
-            if expected > 0 {
-                let got = consumer_sums.get(&task.name).map(Vec::len).unwrap_or(0);
-                if got != expected {
-                    delivery_ok = false;
-                }
-            }
-        }
+            expected == 0 || consumer_sums.get(&task.name).map_or(0, Vec::len) == expected
+        });
 
         Ok(RunOutcome {
-            completed: all_ok && failed_tasks.is_empty() && delivery_ok,
+            completed: failed_tasks.is_empty() && delivery_ok,
             timesteps: self.config.timesteps,
-            duration: start.elapsed(),
             consumer_sums,
             failed_tasks,
             trace,
@@ -280,6 +172,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceSummary;
     use wfspeak_corpus::references::configs::WILKINS_3NODE;
     use wfspeak_systems::spec::TaskSpec;
 
@@ -331,39 +224,29 @@ mod tests {
         assert_ne!(run(7), run(8));
     }
 
+    /// A run's summary and its consumer sums in task-name order.
+    fn fingerprint(outcome: RunOutcome) -> (TraceSummary, Vec<(String, Vec<f64>)>) {
+        let summary = outcome.summary();
+        let mut sums: Vec<(String, Vec<f64>)> = outcome.consumer_sums.into_iter().collect();
+        sums.sort_by(|a, b| a.0.cmp(&b.0));
+        (summary, sums)
+    }
+
     #[test]
-    fn benchmark_spec_traces_are_deterministic_across_runs_and_capacities() {
+    fn benchmark_spec_traces_are_deterministic_across_repeat_runs() {
         // Execution scoring depends on this: repeated runs of the benchmark
-        // spec under one seed must summarise identically, and the channel
-        // capacity (a scheduling knob, not a semantic one) must not change
-        // what was published, received or summed.
-        let run = |channel_capacity: usize| {
-            let config = EngineConfig {
-                channel_capacity,
-                ..EngineConfig::default()
-            };
-            let outcome = Engine::new(config)
+        // spec under one seed must summarise identically and see the same
+        // sums.
+        let run = || {
+            let outcome = Engine::new(EngineConfig::default())
                 .run(&WorkflowSpec::paper_3node())
                 .unwrap();
             assert!(outcome.completed, "trace:\n{}", outcome.trace.render());
-            let summary = outcome.summary();
-            let mut sums: Vec<(String, Vec<f64>)> = outcome.consumer_sums.into_iter().collect();
-            sums.sort_by(|a, b| a.0.cmp(&b.0));
-            (summary, sums)
+            fingerprint(outcome)
         };
-        let (baseline_summary, baseline_sums) = run(8);
+        let baseline = run();
         for _ in 0..3 {
-            let (summary, sums) = run(8);
-            assert_eq!(summary, baseline_summary, "repeat run diverged");
-            assert_eq!(sums, baseline_sums, "repeat run changed consumer sums");
-        }
-        for capacity in [1, 2, 4, 32] {
-            let (summary, sums) = run(capacity);
-            assert_eq!(summary, baseline_summary, "capacity {capacity} diverged");
-            assert_eq!(
-                sums, baseline_sums,
-                "capacity {capacity} changed consumer sums"
-            );
+            assert_eq!(run(), baseline, "repeat run diverged");
         }
     }
 
@@ -384,30 +267,18 @@ mod tests {
     }
 
     #[test]
-    fn thousand_task_topologies_are_deterministic_across_capacities() {
+    fn thousand_task_topologies_are_deterministic_across_repeat_runs() {
         // The scaling benchmark's determinism checksums rest on this: a
-        // seeded 1000-task graph must summarise identically run to run and
-        // across channel capacities, which only reorder scheduling.
+        // seeded 1000-task graph must summarise identically run to run.
         use wfspeak_systems::topo::{TopoShape, TopoSpec};
         for shape in [TopoShape::Diamond, TopoShape::FanOut] {
             let spec = TopoSpec::new(shape, 1000, 42).generate();
-            let run = |channel_capacity: usize| {
-                let config = EngineConfig {
-                    channel_capacity,
-                    timeout_ms: 60_000,
-                    ..EngineConfig::default()
-                };
-                let outcome = Engine::new(config).run(&spec).unwrap();
+            let run = || {
+                let outcome = Engine::new(EngineConfig::default()).run(&spec).unwrap();
                 assert!(outcome.completed, "{shape} did not complete");
-                let summary = outcome.summary();
-                let mut sums: Vec<(String, Vec<f64>)> = outcome.consumer_sums.into_iter().collect();
-                sums.sort_by(|a, b| a.0.cmp(&b.0));
-                (summary, sums)
+                fingerprint(outcome)
             };
-            let baseline = run(8);
-            for capacity in [1, 32] {
-                assert_eq!(run(capacity), baseline, "{shape} capacity {capacity}");
-            }
+            assert_eq!(run(), run(), "{shape}");
         }
     }
 
@@ -440,21 +311,22 @@ mod tests {
     fn injected_producer_failure_propagates() {
         let config = EngineConfig {
             fail_task: Some("producer".into()),
-            timeout_ms: 300,
             ..EngineConfig::default()
         };
         let outcome = Engine::new(config)
             .run(&WorkflowSpec::fewshot_2node())
             .unwrap();
         assert!(!outcome.completed);
-        assert!(outcome.failed_tasks.contains(&"producer".to_string()));
+        // The consumer reads the one step the producer published, then
+        // finds its link empty with no end-of-stream and fails at once.
+        assert_eq!(outcome.failed_tasks, vec!["producer", "consumer"]);
+        assert_eq!(outcome.trace.received_count("particles"), 1);
     }
 
     #[test]
     fn injected_consumer_failure_marks_run_incomplete() {
         let config = EngineConfig {
             fail_task: Some("consumer".into()),
-            timeout_ms: 300,
             ..EngineConfig::default()
         };
         let outcome = Engine::new(config)
@@ -473,6 +345,26 @@ mod tests {
     }
 
     #[test]
+    fn dataset_listed_twice_by_its_producer_is_published_once() {
+        // `validate` only warns about the duplicate listing; the producer
+        // publishes the dataset once per timestep, as after normalization.
+        let spec = WorkflowSpec::new("dup")
+            .with_task(
+                TaskSpec::new("producer", 1)
+                    .produces("grid")
+                    .produces("grid"),
+            )
+            .with_task(TaskSpec::new("consumer", 1).consumes("grid"));
+        let outcome = Engine::new(EngineConfig::default()).run(&spec).unwrap();
+        assert!(outcome.completed, "trace:\n{}", outcome.trace.render());
+        assert_eq!(outcome.trace.published_count("grid"), 3);
+        let normalized = Engine::new(EngineConfig::default())
+            .run(&spec.normalized())
+            .unwrap();
+        assert_eq!(outcome.consumer_sums, normalized.consumer_sums);
+    }
+
+    #[test]
     fn larger_process_counts_still_complete() {
         let spec = WorkflowSpec::new("wide")
             .with_task(TaskSpec::new("producer", 8).produces("grid"))
@@ -485,5 +377,33 @@ mod tests {
         let outcome = Engine::new(config).run(&spec).unwrap();
         assert!(outcome.completed, "trace:\n{}", outcome.trace.render());
         assert_eq!(outcome.consumer_sums["consumer1"].len(), 5);
+    }
+
+    #[test]
+    fn failed_relay_fails_everything_downstream_of_it_only() {
+        // a → b → d and a → c → d: when b fails, d reads step 0 from both
+        // inputs, then finds b's link (`y`, read first) empty; a and c
+        // still finish.
+        let spec = WorkflowSpec::new("diamond")
+            .with_task(TaskSpec::new("a", 1).produces("x"))
+            .with_task(TaskSpec::new("b", 1).consumes("x").produces("y"))
+            .with_task(TaskSpec::new("c", 1).consumes("x").produces("z"))
+            .with_task(TaskSpec::new("d", 1).consumes("y").consumes("z"));
+        let config = EngineConfig {
+            fail_task: Some("b".into()),
+            ..EngineConfig::default()
+        };
+        let outcome = Engine::new(config).run(&spec).unwrap();
+        assert!(!outcome.completed);
+        assert_eq!(outcome.failed_tasks, vec!["b", "d"]);
+        let summary = outcome.summary();
+        assert_eq!(
+            summary.tasks_finished.keys().collect::<Vec<_>>(),
+            ["a", "c"]
+        );
+        assert_eq!(summary.published["y"], 1);
+        assert_eq!(summary.received["y"], 1);
+        assert_eq!(summary.received["z"], 1);
+        assert_eq!(outcome.consumer_sums.keys().collect::<Vec<_>>(), ["c"]);
     }
 }

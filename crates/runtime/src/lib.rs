@@ -4,9 +4,12 @@
 //! annotated task codes); this crate closes the loop by actually *running*
 //! the described workflow.  A validated Wilkins-style configuration (or a
 //! neutral [`wfspeak_systems::WorkflowSpec`]) is turned into a task graph
-//! whose tasks execute concurrently on thread-backed "process groups" and
-//! exchange typed datasets through in-memory channels — the same
-//! producer/consumer pattern the benchmark's task codes implement.
+//! whose tasks exchange typed datasets over in-memory FIFO links — the same
+//! producer/consumer pattern the benchmark's task codes implement.  Each
+//! task is a Kahn process (blocking reads on named links, no polling), so
+//! every schedule yields the same results; the engine runs the tasks one
+//! at a time in dependency order, on the calling thread, with no timeouts.
+//! A run's results are a function of the spec and the configuration only.
 //!
 //! Uses:
 //! * behavioural correctness checks — a generated configuration is "right"
@@ -30,10 +33,9 @@
 
 pub mod data;
 pub mod engine;
-pub mod task;
+mod task;
 pub mod trace;
 
 pub use data::{DataMessage, Dataset};
 pub use engine::{Engine, EngineConfig, EngineError, RunOutcome};
-pub use task::{ConsumerBehavior, ProducerBehavior, RelayBehavior, TaskBehavior, TaskContext};
 pub use trace::{Event, EventKind, ExecutionTrace, TraceSummary};

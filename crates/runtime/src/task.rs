@@ -1,297 +1,223 @@
-//! Task behaviours and the per-rank execution context.
+//! Task behaviours and the in-memory links they exchange datasets over.
+//!
+//! Every task is a Kahn process: it reads its input links in a fixed order,
+//! one blocking FIFO read at a time, and never polls.  Any schedule
+//! therefore produces the same history on every link, so the engine runs
+//! tasks one after another in dependency order.  When a task starts, its
+//! upstream tasks have finished, so every message it will ever receive is
+//! already queued.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 
-use crossbeam_channel::{Receiver, Sender};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use wfspeak_systems::spec::DataRole;
+use wfspeak_systems::{TaskSpec, WorkflowSpec};
 
 use crate::data::{DataMessage, Dataset};
+use crate::engine::EngineConfig;
 use crate::trace::{EventKind, ExecutionTrace};
 
-/// Shared per-task state used to emulate an MPI reduction across the task's
-/// ranks.
-#[derive(Debug)]
-pub struct ReduceGroup {
-    barrier: std::sync::Barrier,
-    partials: Mutex<Vec<f64>>,
-}
-
-impl ReduceGroup {
-    /// Create a reduce group for `nprocs` ranks.
-    pub fn new(nprocs: usize) -> Self {
-        ReduceGroup {
-            barrier: std::sync::Barrier::new(nprocs),
-            partials: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-/// Everything one rank of one task needs while running.
-pub struct TaskContext {
-    /// Task name (e.g. `producer`).
-    pub task: String,
-    /// This rank's index within the task's process group.
-    pub rank: usize,
-    /// Number of ranks in the task's process group.
-    pub nprocs: usize,
-    /// Number of timesteps the workflow runs for.
-    pub timesteps: usize,
-    /// Elements per rank in generated arrays.
-    pub elements: usize,
-    /// Outgoing links: dataset name → one sender per consumer of that
-    /// dataset.  Only rank 0 publishes.
-    pub outputs: HashMap<String, Vec<Sender<DataMessage>>>,
-    /// Incoming links: dataset name → receiver.  Only rank 0 receives.
-    pub inputs: HashMap<String, Receiver<DataMessage>>,
-    /// Group paths per dataset (for constructing [`Dataset`] values).
-    pub group_paths: HashMap<String, String>,
-    /// Shared reduce group for this task.
-    pub reduce: Arc<ReduceGroup>,
-    /// Shared execution trace.
-    pub trace: ExecutionTrace,
-    /// Per-rank deterministic RNG.
-    pub rng: StdRng,
-    /// Timeout for sends/receives, in milliseconds.
-    pub timeout_ms: u64,
-    /// Collected per-timestep sums (consumers fill this in).
-    pub received_sums: Vec<f64>,
-    /// Inject a failure at this timestep, if set.
-    pub fail_at_step: Option<usize>,
-}
-
-impl TaskContext {
-    /// Emulate `MPI_Reduce(sum, ..., MPI_SUM, root=0)`: every rank
-    /// contributes `local`, rank 0 receives the total.
-    pub fn reduce_sum(&self, local: f64) -> Option<f64> {
-        self.reduce.partials.lock().push(local);
-        self.reduce.barrier.wait();
-        let total = if self.rank == 0 {
-            let mut partials = self.reduce.partials.lock();
-            let total: f64 = partials.iter().sum();
-            partials.clear();
-            Some(total)
-        } else {
-            None
-        };
-        // Second barrier so no rank races ahead and pushes the next step's
-        // partial before rank 0 drained this step's.
-        self.reduce.barrier.wait();
-        total
-    }
-
-    /// Publish a dataset to every consumer of `name` (rank 0 only; other
-    /// ranks return immediately).
-    pub fn publish(&self, name: &str, timestep: usize, values: &[f32]) -> Result<(), String> {
-        if self.rank != 0 {
-            return Ok(());
-        }
-        let group_path = self
-            .group_paths
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| format!("/group1/{name}"));
-        let dataset = Dataset::from_f32(name, &group_path, values);
-        if let Some(senders) = self.outputs.get(name) {
-            for sender in senders {
-                sender
-                    .send_timeout(
-                        DataMessage::Step {
-                            timestep,
-                            dataset: dataset.clone(),
-                        },
-                        std::time::Duration::from_millis(self.timeout_ms),
-                    )
-                    .map_err(|e| {
-                        format!("{}: send of `{name}` timed out or failed: {e}", self.task)
-                    })?;
-            }
-        }
-        self.trace.record(
-            &self.task,
-            self.rank,
-            EventKind::DataPublished {
-                dataset: name.to_owned(),
-                timestep,
-            },
-        );
-        Ok(())
-    }
-
-    /// Signal end-of-stream on every output link (rank 0 only).
-    pub fn close_outputs(&self) {
-        if self.rank != 0 {
-            return;
-        }
-        for senders in self.outputs.values() {
-            for sender in senders {
-                let _ = sender.send(DataMessage::EndOfStream);
-            }
-        }
-    }
-
-    /// Receive the next message for dataset `name` (rank 0 only; other ranks
-    /// get `EndOfStream` immediately).
-    pub fn receive(&self, name: &str) -> Result<DataMessage, String> {
-        if self.rank != 0 {
-            return Ok(DataMessage::EndOfStream);
-        }
-        let receiver = self
-            .inputs
-            .get(name)
-            .ok_or_else(|| format!("{}: no input link for dataset `{name}`", self.task))?;
-        receiver
-            .recv_timeout(std::time::Duration::from_millis(self.timeout_ms))
-            .map_err(|e| format!("{}: receive of `{name}` timed out: {e}", self.task))
-    }
-}
-
-/// A task's executable behaviour; one instance is shared by all ranks.
-pub trait TaskBehavior: Send + Sync {
-    /// Run the task on one rank.  Returning an error marks the task failed.
-    fn run(&self, ctx: &mut TaskContext) -> Result<(), String>;
-}
-
-/// The benchmark's producer: per timestep, generate a random array on every
-/// rank, reduce the sums to rank 0 and publish each produced dataset.
+/// The links of one run, and the trace of what moved over them.  There is
+/// one FIFO per (consumer task, dataset); a FIFO never holds more than
+/// `timesteps + 1` messages.
 #[derive(Debug, Default)]
-pub struct ProducerBehavior;
+pub(crate) struct Links<'a> {
+    /// Dataset → consumer task → that consumer's queue.
+    queues: HashMap<&'a str, HashMap<&'a str, VecDeque<DataMessage>>>,
+    /// Every event recorded so far.
+    pub(crate) trace: ExecutionTrace,
+}
 
-impl TaskBehavior for ProducerBehavior {
-    fn run(&self, ctx: &mut TaskContext) -> Result<(), String> {
-        // Sorted so publish order (and with it the trace and any downstream
-        // arrival order) is a function of the spec, not of HashMap state.
-        let mut datasets: Vec<String> = ctx.outputs.keys().cloned().collect();
-        datasets.sort();
-        for t in 0..ctx.timesteps {
-            if ctx.fail_at_step == Some(t) {
-                return Err(format!("injected failure at timestep {t}"));
-            }
-            let array: Vec<f32> = (0..ctx.elements).map(|_| ctx.rng.gen::<f32>()).collect();
-            let local_sum: f64 = array.iter().map(|&v| v as f64).sum();
-            let _total = ctx.reduce_sum(local_sum);
-            for name in &datasets {
-                ctx.publish(name, t, &array)?;
+impl<'a> Links<'a> {
+    /// One empty link per dataset each task of `spec` consumes.
+    pub(crate) fn new(spec: &'a WorkflowSpec) -> Self {
+        let mut links = Links::default();
+        for task in &spec.tasks {
+            for dataset in task.consumed_datasets() {
+                links
+                    .queues
+                    .entry(dataset)
+                    .or_default()
+                    .insert(&task.name, VecDeque::new());
             }
         }
-        ctx.close_outputs();
-        Ok(())
+        links
+    }
+
+    /// Queue `values` as `dataset` at `timestep` on every consumer's link
+    /// and record the publish (a dataset nobody consumes has no links).
+    fn publish(
+        &mut self,
+        task: &str,
+        dataset: &str,
+        group_path: &str,
+        timestep: usize,
+        values: &[f32],
+    ) {
+        if let Some(consumers) = self.queues.get_mut(dataset) {
+            let data = Dataset::from_f32(dataset, group_path, values);
+            for queue in consumers.values_mut() {
+                queue.push_back(DataMessage::Step {
+                    timestep,
+                    dataset: data.clone(),
+                });
+            }
+        }
+        let dataset = dataset.to_owned();
+        self.trace
+            .record(task, EventKind::DataPublished { dataset, timestep });
+    }
+
+    /// Queue end-of-stream on every consumer's link for `dataset`.
+    fn close(&mut self, dataset: &str) {
+        for queue in self
+            .queues
+            .get_mut(dataset)
+            .into_iter()
+            .flat_map(|c| c.values_mut())
+        {
+            queue.push_back(DataMessage::EndOfStream);
+        }
+    }
+
+    /// Take the next message on `task`'s link for `dataset`, recording a
+    /// received step.  An empty link means the producer stopped without
+    /// end-of-stream, which only a failed producer does.
+    fn receive(&mut self, task: &str, dataset: &str) -> Result<DataMessage, String> {
+        let queue = self
+            .queues
+            .get_mut(dataset)
+            .and_then(|consumers| consumers.get_mut(task))
+            .ok_or_else(|| format!("{task}: no input link for dataset `{dataset}`"))?;
+        let message = queue.pop_front().ok_or_else(|| {
+            format!("{task}: input `{dataset}` ended without end-of-stream (its producer failed)")
+        })?;
+        if let Some(timestep) = message.timestep() {
+            let dataset = dataset.to_owned();
+            self.trace
+                .record(task, EventKind::DataReceived { dataset, timestep });
+        }
+        Ok(message)
     }
 }
 
-/// The benchmark's consumer: receive every timestep of every consumed
-/// dataset, compute its sum, and stop at end-of-stream.
-#[derive(Debug, Default)]
-pub struct ConsumerBehavior;
-
-impl TaskBehavior for ConsumerBehavior {
-    fn run(&self, ctx: &mut TaskContext) -> Result<(), String> {
-        if ctx.rank != 0 {
-            return Ok(());
-        }
-        // Sorted so a consumer of several datasets drains them in a stable
-        // order and `received_sums` is deterministic run to run.
-        let mut datasets: Vec<String> = ctx.inputs.keys().cloned().collect();
-        datasets.sort();
-        let mut open: HashMap<String, bool> = datasets.iter().map(|d| (d.clone(), true)).collect();
-        let mut step = 0usize;
-        while open.values().any(|&o| o) {
-            if ctx.fail_at_step == Some(step) {
-                return Err(format!("injected failure at timestep {step}"));
-            }
-            for name in &datasets {
-                if !open[name] {
-                    continue;
-                }
-                match ctx.receive(name)? {
-                    DataMessage::Step { timestep, dataset } => {
-                        ctx.trace.record(
-                            &ctx.task,
-                            ctx.rank,
-                            EventKind::DataReceived {
-                                dataset: name.clone(),
-                                timestep,
-                            },
-                        );
-                        ctx.received_sums.push(dataset.sum());
-                    }
-                    DataMessage::EndOfStream => {
-                        open.insert(name.clone(), false);
-                    }
-                }
-            }
-            step += 1;
-        }
-        Ok(())
-    }
+/// `task`'s produced datasets in name order, each once, with the group
+/// path their messages carry.  Sorted so the publish order is a function
+/// of the spec alone.
+fn outputs(task: &TaskSpec) -> Vec<(&str, &str)> {
+    let mut outputs: Vec<(&str, &str)> = task
+        .data
+        .iter()
+        .filter(|d| d.role == DataRole::Produces)
+        .map(|d| (d.dataset.as_str(), d.group_path.as_str()))
+        .collect();
+    outputs.sort_by_key(|&(dataset, _)| dataset);
+    outputs.dedup_by_key(|&mut (dataset, _)| dataset);
+    outputs
 }
 
-/// A task that both consumes and produces: per round, drain one message
-/// from every open input, then publish a fresh array downstream — the
-/// interior stage of a chain or diamond.  The relay paces itself entirely
-/// off its inputs (one publish round per received data round), so every
-/// downstream consumer still sees exactly `timesteps` messages per dataset
-/// without the relay needing its own step loop.
-#[derive(Debug, Default)]
-pub struct RelayBehavior;
+/// The timestep at which `config` injects a failure into `task`, if any.
+fn injected_failure(config: &EngineConfig, task: &TaskSpec) -> Option<usize> {
+    (config.fail_task.as_deref() == Some(task.name.as_str())).then_some(1)
+}
 
-impl TaskBehavior for RelayBehavior {
-    fn run(&self, ctx: &mut TaskContext) -> Result<(), String> {
-        if ctx.rank != 0 {
-            return Ok(());
+/// `elements` uniform values from `rng`.
+fn draw(rng: &mut StdRng, elements: usize) -> Vec<f32> {
+    (0..elements).map(|_| rng.gen::<f32>()).collect()
+}
+
+/// One timestep of a producer's process group: every rank draws its array
+/// from its own RNG and adds its partial sum to the total, emulating
+/// `MPI_Reduce(..., MPI_SUM, root=0)`.  Returns rank 0's array and the
+/// reduced total.
+fn reduce_step(ranks: &mut [StdRng], elements: usize) -> (Vec<f32>, f64) {
+    let mut root = Vec::new();
+    let mut total = 0.0;
+    for (rank, rng) in ranks.iter_mut().enumerate() {
+        let array = draw(rng, elements);
+        total += array.iter().map(|&v| v as f64).sum::<f64>();
+        if rank == 0 {
+            root = array;
         }
-        // Sorted like the other behaviours so receive and publish order are
-        // functions of the spec, not of HashMap state.
-        let mut inputs: Vec<String> = ctx.inputs.keys().cloned().collect();
-        inputs.sort();
-        let mut outputs: Vec<String> = ctx.outputs.keys().cloned().collect();
-        outputs.sort();
-        let mut open: HashMap<String, bool> = inputs.iter().map(|d| (d.clone(), true)).collect();
-        let mut step = 0usize;
-        while open.values().any(|&o| o) {
-            if ctx.fail_at_step == Some(step) {
-                return Err(format!("injected failure at timestep {step}"));
-            }
-            let mut got_data = false;
-            for name in &inputs {
-                if !open[name] {
-                    continue;
-                }
-                match ctx.receive(name)? {
-                    DataMessage::Step { timestep, dataset } => {
-                        ctx.trace.record(
-                            &ctx.task,
-                            ctx.rank,
-                            EventKind::DataReceived {
-                                dataset: name.clone(),
-                                timestep,
-                            },
-                        );
-                        ctx.received_sums.push(dataset.sum());
-                        got_data = true;
-                    }
-                    DataMessage::EndOfStream => {
-                        open.insert(name.clone(), false);
-                    }
-                }
-            }
-            if got_data {
-                let array: Vec<f32> = (0..ctx.elements).map(|_| ctx.rng.gen::<f32>()).collect();
-                for name in &outputs {
-                    ctx.publish(name, step, &array)?;
-                }
-            }
-            step += 1;
-        }
-        ctx.close_outputs();
-        Ok(())
     }
+    (root, total)
+}
+
+/// The benchmark's producer: each timestep its ranks reduce their arrays'
+/// sums and rank 0 publishes its own array as every produced dataset; at
+/// the end it closes its outputs.
+pub(crate) fn produce(
+    task: &TaskSpec,
+    config: &EngineConfig,
+    links: &mut Links,
+) -> Result<(), String> {
+    let outputs = outputs(task);
+    let mut ranks: Vec<StdRng> = (0..task.nprocs)
+        .map(|rank| rank_rng(config.seed, &task.name, rank))
+        .collect();
+    for t in 0..config.timesteps {
+        if injected_failure(config, task) == Some(t) {
+            return Err(format!("injected failure at timestep {t}"));
+        }
+        let (array, _total) = reduce_step(&mut ranks, config.elements);
+        for &(dataset, group_path) in &outputs {
+            links.publish(&task.name, dataset, group_path, t, &array);
+        }
+    }
+    for (dataset, _) in outputs {
+        links.close(dataset);
+    }
+    Ok(())
+}
+
+/// A task that consumes: each round it takes one message from every open
+/// input in name order, and after a round that brought data it publishes a
+/// fresh array from rank 0's RNG as every produced dataset — the interior
+/// stage of a chain or diamond.  An input closes at end-of-stream; when all
+/// are closed the task closes its outputs.  A consumer is a relay with no
+/// outputs.  Returns the sums of the datasets received, in arrival order.
+pub(crate) fn relay(
+    task: &TaskSpec,
+    config: &EngineConfig,
+    links: &mut Links,
+) -> Result<Vec<f64>, String> {
+    let mut open = task.consumed_datasets();
+    open.sort_unstable();
+    open.dedup();
+    let outputs = outputs(task);
+    let mut rng = rank_rng(config.seed, &task.name, 0);
+    let mut sums = Vec::new();
+    let mut step = 0;
+    while !open.is_empty() {
+        if injected_failure(config, task) == Some(step) {
+            return Err(format!("injected failure at timestep {step}"));
+        }
+        let received = sums.len();
+        let mut still_open = Vec::with_capacity(open.len());
+        for dataset in open {
+            if let DataMessage::Step { dataset: data, .. } = links.receive(&task.name, dataset)? {
+                sums.push(data.sum());
+                still_open.push(dataset);
+            }
+        }
+        open = still_open;
+        if sums.len() > received && !outputs.is_empty() {
+            let array = draw(&mut rng, config.elements);
+            for &(dataset, group_path) in &outputs {
+                links.publish(&task.name, dataset, group_path, step, &array);
+            }
+        }
+        step += 1;
+    }
+    for (dataset, _) in outputs {
+        links.close(dataset);
+    }
+    Ok(sums)
 }
 
 /// Create the deterministic per-rank RNG used by behaviours.
-pub fn rank_rng(seed: u64, task: &str, rank: usize) -> StdRng {
+pub(crate) fn rank_rng(seed: u64, task: &str, rank: usize) -> StdRng {
     let mut hash = seed ^ 0x9e3779b97f4a7c15;
     for b in task.bytes() {
         hash = hash.wrapping_mul(31).wrapping_add(b as u64);
@@ -302,55 +228,46 @@ pub fn rank_rng(seed: u64, task: &str, rank: usize) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::bounded;
 
-    fn minimal_ctx(rank: usize, nprocs: usize, reduce: Arc<ReduceGroup>) -> TaskContext {
-        TaskContext {
-            task: "t".into(),
-            rank,
-            nprocs,
-            timesteps: 1,
+    fn fanout() -> WorkflowSpec {
+        WorkflowSpec::new("fanout")
+            .with_task(TaskSpec::new("p", 3).produces("grid"))
+            .with_task(TaskSpec::new("c1", 1).consumes("grid"))
+            .with_task(TaskSpec::new("c2", 1).consumes("grid"))
+    }
+
+    fn config(timesteps: usize) -> EngineConfig {
+        EngineConfig {
+            timesteps,
             elements: 4,
-            outputs: HashMap::new(),
-            inputs: HashMap::new(),
-            group_paths: HashMap::new(),
-            reduce,
-            trace: ExecutionTrace::new(),
-            rng: rank_rng(1, "t", rank),
-            timeout_ms: 100,
-            received_sums: Vec::new(),
-            fail_at_step: None,
+            seed: 1,
+            ..EngineConfig::default()
         }
+    }
+
+    fn drain(links: &mut Links, task: &str, dataset: &str) -> Vec<DataMessage> {
+        std::iter::from_fn(|| links.receive(task, dataset).ok()).collect()
     }
 
     #[test]
     fn reduce_sum_across_ranks() {
-        let reduce = Arc::new(ReduceGroup::new(3));
-        let handles: Vec<_> = (0..3)
-            .map(|rank| {
-                let reduce = reduce.clone();
-                std::thread::spawn(move || {
-                    let ctx = minimal_ctx(rank, 3, reduce);
-                    ctx.reduce_sum((rank + 1) as f64)
-                })
-            })
-            .collect();
-        let results: Vec<Option<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let root_total: Vec<f64> = results.iter().flatten().copied().collect();
-        assert_eq!(root_total, vec![6.0]);
-        assert_eq!(results.iter().filter(|r| r.is_none()).count(), 2);
+        let mut ranks: Vec<StdRng> = (0..3).map(|rank| rank_rng(1, "t", rank)).collect();
+        let (root, total) = reduce_step(&mut ranks, 4);
+        let partial = |rank| -> f64 {
+            let array = draw(&mut rank_rng(1, "t", rank), 4);
+            array.iter().map(|&v| v as f64).sum()
+        };
+        assert_eq!(root, draw(&mut rank_rng(1, "t", 0), 4));
+        assert_eq!(total, partial(0) + partial(1) + partial(2));
     }
 
     #[test]
     fn publish_delivers_to_all_consumers() {
-        let reduce = Arc::new(ReduceGroup::new(1));
-        let mut ctx = minimal_ctx(0, 1, reduce);
-        let (tx1, rx1) = bounded(4);
-        let (tx2, rx2) = bounded(4);
-        ctx.outputs.insert("grid".into(), vec![tx1, tx2]);
-        ctx.publish("grid", 0, &[1.0, 2.0]).unwrap();
-        for rx in [rx1, rx2] {
-            match rx.recv().unwrap() {
+        let spec = fanout();
+        let mut links = Links::new(&spec);
+        links.publish("p", "grid", "/group1/grid", 0, &[1.0, 2.0]);
+        for consumer in ["c1", "c2"] {
+            match links.receive(consumer, "grid").unwrap() {
                 DataMessage::Step { timestep, dataset } => {
                     assert_eq!(timestep, 0);
                     assert_eq!(dataset.to_f32(), vec![1.0, 2.0]);
@@ -359,35 +276,44 @@ mod tests {
                 other => panic!("unexpected message {other:?}"),
             }
         }
-        assert_eq!(ctx.trace.published_count("grid"), 1);
+        assert_eq!(links.trace.published_count("grid"), 1);
+        assert_eq!(links.trace.received_count("grid"), 2);
     }
 
     #[test]
     fn non_root_rank_publish_is_a_noop() {
-        let reduce = Arc::new(ReduceGroup::new(2));
-        let mut ctx = minimal_ctx(1, 2, reduce);
-        let (tx, rx) = bounded(1);
-        ctx.outputs.insert("grid".into(), vec![tx]);
-        ctx.publish("grid", 0, &[1.0]).unwrap();
-        assert!(rx.try_recv().is_err());
+        // A 3-rank producer publishes once per timestep: rank 0's array.
+        let spec = fanout();
+        let mut links = Links::new(&spec);
+        produce(&spec.tasks[0], &config(2), &mut links).unwrap();
+        let mut root = rank_rng(1, "p", 0);
+        let expected: Vec<Vec<f32>> = (0..2).map(|_| draw(&mut root, 4)).collect();
+        let messages = drain(&mut links, "c1", "grid");
+        assert_eq!(messages.len(), 3);
+        for (t, values) in expected.iter().enumerate() {
+            assert_eq!(messages[t].timestep(), Some(t));
+            assert!(
+                matches!(&messages[t], DataMessage::Step { dataset, .. } if dataset.to_f32() == *values)
+            );
+        }
+        assert_eq!(messages[2], DataMessage::EndOfStream);
+        assert_eq!(links.trace.published_count("grid"), 2);
     }
 
     #[test]
-    fn receive_times_out_when_no_producer() {
-        let reduce = Arc::new(ReduceGroup::new(1));
-        let mut ctx = minimal_ctx(0, 1, reduce);
-        let (_tx, rx) = bounded::<DataMessage>(1);
-        ctx.inputs.insert("grid".into(), rx);
-        ctx.timeout_ms = 10;
-        let err = ctx.receive("grid").unwrap_err();
-        assert!(err.contains("timed out"));
+    fn receive_from_empty_link_fails_at_once() {
+        let spec = fanout();
+        let mut links = Links::new(&spec);
+        let err = links.receive("c1", "grid").unwrap_err();
+        assert!(err.contains("without end-of-stream"), "{err}");
     }
 
     #[test]
     fn receive_unknown_dataset_errors() {
-        let reduce = Arc::new(ReduceGroup::new(1));
-        let ctx = minimal_ctx(0, 1, reduce);
-        assert!(ctx.receive("missing").is_err());
+        let spec = fanout();
+        let mut links = Links::new(&spec);
+        assert!(links.receive("c1", "missing").is_err());
+        assert!(links.receive("p", "grid").is_err());
     }
 
     #[test]
@@ -410,10 +336,18 @@ mod tests {
 
     #[test]
     fn producer_behavior_fails_when_injected() {
-        let reduce = Arc::new(ReduceGroup::new(1));
-        let mut ctx = minimal_ctx(0, 1, reduce);
-        ctx.fail_at_step = Some(0);
-        let err = ProducerBehavior.run(&mut ctx).unwrap_err();
-        assert!(err.contains("injected failure"));
+        // The failure lands before timestep 1: one step queued, no
+        // end-of-stream, so the consumer fails on its second read.
+        let spec = fanout();
+        let mut links = Links::new(&spec);
+        let config = EngineConfig {
+            fail_task: Some("p".into()),
+            ..config(3)
+        };
+        let err = produce(&spec.tasks[0], &config, &mut links).unwrap_err();
+        assert!(err.contains("injected failure at timestep 1"), "{err}");
+        let err = relay(&spec.tasks[1], &EngineConfig::default(), &mut links).unwrap_err();
+        assert!(err.contains("without end-of-stream"), "{err}");
+        assert_eq!(links.trace.received_count("grid"), 1);
     }
 }

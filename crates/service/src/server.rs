@@ -104,12 +104,11 @@ pub struct ServiceConfig {
     /// before being shed with a typed `"overloaded"` error. Zero sheds
     /// immediately whenever the queue is full.
     pub admission_timeout: std::time::Duration,
-    /// Maximum hypotheses per `mode: "execute"` request.  Unlike scoring
-    /// (sub-millisecond per hypothesis), each execution can legitimately
-    /// cost threads and — for stalling-but-valid specs — seconds of
-    /// sandbox timeout, so one oversized batch must not pin a shared
-    /// worker indefinitely; larger batches are rejected with an error and
-    /// should be split across pipelined requests.
+    /// Maximum hypotheses per `mode: "execute"` request.  Each execution
+    /// parses, validates and runs a whole workflow — far more work than
+    /// scoring one hypothesis — so one oversized batch must not pin a
+    /// shared worker for long; larger batches are rejected with an error
+    /// and should be split across pipelined requests.
     pub max_execute_batch: usize,
     /// How long [`shutdown`](ScoringServer::shutdown) waits for admitted
     /// work to finish (queue drained, in-flight jobs replied) before
@@ -251,9 +250,8 @@ impl ServiceState {
             }
             RequestMode::Execute => {
                 let system = system()?;
-                // Executions cost real threads and (for stalling specs) real
-                // sandbox-timeout seconds each; bound what one request can
-                // pin a worker with.
+                // Each execution runs a whole workflow; bound what one
+                // request can pin a worker with.
                 if request.hypotheses.len() > self.max_execute_batch {
                     return Err(format!(
                         "execute batch of {} exceeds the per-request cap of {}; \

@@ -113,6 +113,8 @@ pub enum DiagnosticKind {
     InvalidDataset,
     /// A task consumes a dataset no task produces.
     DanglingConsume,
+    /// Two tasks produce the same dataset.
+    DuplicateProducer,
     /// A task produces a dataset no task consumes.
     UnconsumedProduce,
     /// The same dataset requirement is listed twice on one task.
@@ -167,6 +169,7 @@ impl DiagnosticKind {
         DiagnosticKind::TaskBounds,
         DiagnosticKind::InvalidDataset,
         DiagnosticKind::DanglingConsume,
+        DiagnosticKind::DuplicateProducer,
         DiagnosticKind::UnconsumedProduce,
         DiagnosticKind::DuplicateEdge,
         DiagnosticKind::SelfLoop,
@@ -213,6 +216,7 @@ impl DiagnosticKind {
             DiagnosticKind::TaskBounds => "task-bounds",
             DiagnosticKind::InvalidDataset => "invalid-dataset",
             DiagnosticKind::DanglingConsume => "dangling-consume",
+            DiagnosticKind::DuplicateProducer => "duplicate-producer",
             DiagnosticKind::UnconsumedProduce => "unconsumed-produce",
             DiagnosticKind::DuplicateEdge => "duplicate-edge",
             DiagnosticKind::SelfLoop => "self-loop",

@@ -11,6 +11,8 @@
 //! defaulted fields, so downstream scoring is order-insensitive), and
 //! finally execution on the runtime engine.
 
+use std::collections::HashMap;
+
 use crate::diagnostics::{Diagnostic, DiagnosticKind, Severity};
 
 /// Largest per-task or total process count `validate` accepts.  The sandbox
@@ -207,9 +209,9 @@ impl WorkflowSpec {
     /// cycle without parsing prose.
     ///
     /// Error-severity findings (duplicate/empty/absurd tasks, dangling
-    /// consumes, cycles) make the spec structurally invalid; a produced
-    /// dataset nobody consumes is only a warning (a solo producer is a
-    /// legitimate, runnable workflow).
+    /// consumes, datasets with two producers, cycles) make the spec
+    /// structurally invalid; a produced dataset nobody consumes is only a
+    /// warning (a solo producer is a legitimate, runnable workflow).
     pub fn validate(&self) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
         if self.tasks.is_empty() {
@@ -323,11 +325,31 @@ impl WorkflowSpec {
                 ),
             ));
         }
-        let produced: std::collections::HashSet<&str> = self
-            .tasks
-            .iter()
-            .flat_map(|t| t.produced_datasets())
-            .collect();
+        // Each dataset has one producer: a consumer's link carries one
+        // stream, so a second producer of the same dataset has nowhere to
+        // write.
+        let mut producer_of: HashMap<&str, &str> = HashMap::new();
+        for task in &self.tasks {
+            for d in task.produced_datasets() {
+                match producer_of.get(d) {
+                    None => {
+                        producer_of.insert(d, &task.name);
+                    }
+                    Some(&first) if first != task.name => diags.push(
+                        Diagnostic::error(
+                            DiagnosticKind::DuplicateProducer,
+                            format!(
+                                "task `{}` produces dataset `{d}`, which task `{first}` \
+                                 already produces",
+                                task.name
+                            ),
+                        )
+                        .at_path(&task.name),
+                    ),
+                    Some(_) => {}
+                }
+            }
+        }
         let consumed: std::collections::HashSet<&str> = self
             .tasks
             .iter()
@@ -335,7 +357,7 @@ impl WorkflowSpec {
             .collect();
         for task in &self.tasks {
             for d in task.consumed_datasets() {
-                if !produced.contains(d) {
+                if !producer_of.contains_key(d) {
                     diags.push(
                         Diagnostic::error(
                             DiagnosticKind::DanglingConsume,
@@ -383,50 +405,78 @@ impl WorkflowSpec {
             .all(|d| d.severity != Severity::Error)
     }
 
-    /// Tasks caught in a dependency cycle (Kahn's algorithm leftovers), in
-    /// definition order, or `None` when the graph is acyclic.  Self-loops
-    /// count: a task consuming its own output can never start.
+    /// Task indices in dependency order (every producer before its
+    /// consumers), or `None` when the graph has a dependency cycle.
+    pub fn topological_order(&self) -> Option<Vec<usize>> {
+        let (order, _) = self.kahn();
+        (order.len() == self.tasks.len()).then_some(order)
+    }
+
+    /// Tasks caught in a dependency cycle (the ones Kahn's algorithm cannot
+    /// reach), in definition order, or `None` when the graph is acyclic.
+    /// Self-loops count: a task consuming its own output can never start.
     fn find_cycle(&self) -> Option<Vec<String>> {
-        // predecessor counts per task index, from producer → consumer edges
-        let mut indegree = vec![0usize; self.tasks.len()];
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); self.tasks.len()];
-        for (pi, producer) in self.tasks.iter().enumerate() {
-            let produced = producer.produced_datasets();
-            for (ci, consumer) in self.tasks.iter().enumerate() {
-                let depends = consumer
-                    .consumed_datasets()
-                    .iter()
-                    .any(|d| produced.contains(d));
-                if depends {
-                    successors[pi].push(ci);
-                    indegree[ci] += 1;
-                }
-            }
-        }
-        let mut ready: Vec<usize> = (0..self.tasks.len())
-            .filter(|&i| indegree[i] == 0)
-            .collect();
-        let mut resolved = 0;
-        while let Some(i) = ready.pop() {
-            resolved += 1;
-            for &s in &successors[i] {
-                indegree[s] -= 1;
-                if indegree[s] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-        if resolved == self.tasks.len() {
+        let (order, _) = self.kahn();
+        if order.len() == self.tasks.len() {
             return None;
+        }
+        let mut reached = vec![false; self.tasks.len()];
+        for &i in &order {
+            reached[i] = true;
         }
         Some(
             self.tasks
                 .iter()
-                .enumerate()
-                .filter(|&(i, _)| indegree[i] > 0)
-                .map(|(_, t)| t.name.clone())
+                .zip(reached)
+                .filter(|&(_, reached)| !reached)
+                .map(|(t, _)| t.name.clone())
                 .collect(),
         )
+    }
+
+    /// One pass of Kahn's algorithm over the producer → consumer graph:
+    /// the tasks it reaches, in dependency order, and each task's
+    /// longest-path depth from the sources.  On a cyclic graph the order
+    /// stops short; the tasks missing from it are on or behind a cycle.
+    fn kahn(&self) -> (Vec<usize>, Vec<usize>) {
+        let n = self.tasks.len();
+        let mut producers: HashMap<&str, Vec<usize>> = HashMap::new();
+        for (i, task) in self.tasks.iter().enumerate() {
+            for d in task.produced_datasets() {
+                producers.entry(d).or_default().push(i);
+            }
+        }
+        let mut indegree = vec![0usize; n];
+        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (ci, consumer) in self.tasks.iter().enumerate() {
+            let mut preds: Vec<usize> = consumer
+                .consumed_datasets()
+                .iter()
+                .filter_map(|d| producers.get(d))
+                .flatten()
+                .copied()
+                .collect();
+            preds.sort_unstable();
+            preds.dedup();
+            indegree[ci] = preds.len();
+            for p in preds {
+                successors[p].push(ci);
+            }
+        }
+        let mut order: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut depth = vec![0usize; n];
+        let mut next = 0;
+        while let Some(&i) = order.get(next) {
+            next += 1;
+            for &s in &successors[i] {
+                depth[s] = depth[s].max(depth[i] + 1);
+                indegree[s] -= 1;
+                if indegree[s] == 0 {
+                    order.push(s);
+                }
+            }
+        }
+        (order, depth)
     }
 
     /// Normalization pass: canonical task ordering (dependency rank, then
@@ -455,14 +505,14 @@ impl WorkflowSpec {
                     .cmp(&(b.dataset.as_str(), role_rank(b.role)))
             });
         }
-        // Dependency ranks are only canonical on acyclic graphs (the capped
-        // relaxation for cycles depends on task order, so rank-sorting a
-        // cyclic spec would not be idempotent).  Cyclic specs are invalid
-        // anyway; give them a plain name ordering.
-        let ranks = if self.find_cycle().is_some() {
-            vec![0; self.tasks.len()]
+        // Dependency ranks (longest-path depths) only exist on acyclic
+        // graphs.  Cyclic specs are invalid anyway; give them a plain name
+        // ordering.
+        let (reached, depth) = self.kahn();
+        let ranks = if reached.len() == self.tasks.len() {
+            depth
         } else {
-            self.dependency_ranks()
+            vec![0; self.tasks.len()]
         };
         let mut order: Vec<usize> = (0..self.tasks.len()).collect();
         order.sort_by(|&a, &b| {
@@ -481,38 +531,6 @@ impl WorkflowSpec {
         let mut copy = self.clone();
         copy.normalize();
         copy
-    }
-
-    /// Longest-path depth of each task from the dependency sources.  The
-    /// relaxation loop is bounded by the task count, so cyclic (invalid)
-    /// specs terminate with a stable, deterministic ranking instead of
-    /// hanging.
-    fn dependency_ranks(&self) -> Vec<usize> {
-        let n = self.tasks.len();
-        let mut ranks = vec![0usize; n];
-        for _ in 0..n {
-            let mut changed = false;
-            for (ci, consumer) in self.tasks.iter().enumerate() {
-                let consumed = consumer.consumed_datasets();
-                for (pi, producer) in self.tasks.iter().enumerate() {
-                    if pi == ci {
-                        continue;
-                    }
-                    let feeds = producer
-                        .produced_datasets()
-                        .iter()
-                        .any(|d| consumed.contains(d));
-                    if feeds && ranks[ci] < ranks[pi] + 1 && ranks[pi] < n {
-                        ranks[ci] = ranks[pi] + 1;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        ranks
     }
 }
 
@@ -648,6 +666,33 @@ mod tests {
             .expect("cycle reported");
         assert!(cycle.message.contains('a') && cycle.message.contains('b'));
         assert!(!two_cycle.is_structurally_valid());
+        assert_eq!(two_cycle.topological_order(), None);
+    }
+
+    #[test]
+    fn validate_rejects_a_dataset_with_two_producers() {
+        let spec = WorkflowSpec::new("w")
+            .with_task(TaskSpec::new("p1", 1).produces("g"))
+            .with_task(TaskSpec::new("p2", 1).produces("g"))
+            .with_task(TaskSpec::new("c", 1).consumes("g"));
+        let diags = spec.validate();
+        let twice = diags
+            .iter()
+            .find(|d| d.kind == DiagnosticKind::DuplicateProducer)
+            .expect("second producer reported");
+        assert!(twice.is_error());
+        assert_eq!(twice.path.as_deref(), Some("p2"));
+        assert!(twice.message.contains("p1"));
+        assert!(!spec.is_structurally_valid());
+    }
+
+    #[test]
+    fn topological_order_puts_every_producer_before_its_consumers() {
+        let spec = WorkflowSpec::new("w")
+            .with_task(TaskSpec::new("sink", 1).consumes("b").consumes("a"))
+            .with_task(TaskSpec::new("relay", 1).consumes("a").produces("b"))
+            .with_task(TaskSpec::new("source", 1).produces("a"));
+        assert_eq!(spec.topological_order(), Some(vec![2, 1, 0]));
     }
 
     #[test]
