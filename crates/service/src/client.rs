@@ -37,9 +37,11 @@ pub struct ScoringClient {
 }
 
 impl ScoringClient {
-    /// Connect to a scoring server.
+    /// Connect to a scoring server. Nagle's algorithm is off, so a
+    /// pipelined request is sent as soon as it is flushed.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(ScoringClient {
             reader,
@@ -271,5 +273,27 @@ impl ScoringClient {
     /// connection down; dropping the client has the same effect.
     pub fn close(self) {
         let _ = self.writer.into_inner().map(|s| s.shutdown(Shutdown::Both));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use super::*;
+    use crate::server::prepare_accepted;
+
+    #[test]
+    fn both_ends_of_a_connection_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = ScoringClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(
+            !accepted.nodelay().unwrap(),
+            "accepted sockets start with Nagle on"
+        );
+        prepare_accepted(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert!(client.writer.get_ref().nodelay().unwrap());
     }
 }

@@ -17,9 +17,11 @@
 //!
 //! * **I/O loops** ([`ServiceConfig::io_threads`], default 1) own the
 //!   listener (loop 0) and all connection sockets, registered with the
-//!   vendored [`polling`] readiness shim. Each connection is a state
-//!   machine: bytes read nonblockingly are assembled into frames by a
-//!   [`FrameDecoder`], parsed requests are
+//!   vendored [`polling`] readiness shim. Accepted sockets are nonblocking
+//!   and set `TCP_NODELAY`, so a reply to a pipelined request is not held
+//!   back until the client acknowledges the previous one (Nagle). Each
+//!   connection is a state machine: bytes read nonblockingly are assembled
+//!   into frames by a [`FrameDecoder`], parsed requests are
 //!   admitted to the bounded job queue, and encoded replies are flushed
 //!   back through a per-connection write queue. No thread ever blocks on
 //!   one client's socket.
@@ -71,6 +73,14 @@ use crate::protocol::{
 
 /// Poller key reserved for the listening socket (loop 0 only).
 const LISTENER_KEY: usize = usize::MAX - 1;
+
+/// Ready an accepted socket for an I/O loop: nonblocking, and with Nagle's
+/// algorithm off so a flushed reply leaves at once instead of waiting for
+/// the client's delayed ACK of the previous one.
+pub(crate) fn prepare_accepted(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
+}
 
 /// Tunables for [`ScoringServer::spawn`].
 #[derive(Debug, Clone)]
@@ -863,7 +873,7 @@ impl LoopCtx {
         if self.shared.closing.load(Ordering::SeqCst) {
             return; // dropped: accepted moments before teardown
         }
-        if stream.set_nonblocking(true).is_err() {
+        if prepare_accepted(&stream).is_err() {
             return;
         }
         let Ok(peer) = stream.try_clone() else { return };
