@@ -1,11 +1,9 @@
 //! Criterion bench for the in situ runtime substrate: executing the paper's
 //! 3-node workflow, wider fan-out variants, and the synthetic topology tiers
-//! behind `BENCH_5.json`. `WFSPEAK_SCALING_MAX` bounds the topology tier size
-//! so CI can run a cheap smoke (e.g. `WFSPEAK_SCALING_MAX=100`).
+//! behind `BENCH_5.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wfspeak_bench::scaling_max_tasks;
 use wfspeak_runtime::{Engine, EngineConfig};
 use wfspeak_systems::topo::bench_suite;
 use wfspeak_systems::{TaskSpec, WorkflowSpec};
@@ -56,11 +54,7 @@ fn bench_runtime(c: &mut Criterion) {
         elements: 16,
         ..EngineConfig::default()
     };
-    let max_tasks = scaling_max_tasks();
     for topo in bench_suite(42) {
-        if topo.tasks > max_tasks {
-            continue;
-        }
         group.bench_with_input(BenchmarkId::new("topo", topo.name()), &topo, |b, topo| {
             let engine = Engine::new(topo_config.clone());
             let spec = topo.generate().normalized();

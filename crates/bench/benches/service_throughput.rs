@@ -1,18 +1,12 @@
-//! `service_throughput` — time the request codec, then measure the batch
-//! scoring service over loopback TCP and write the `BENCH_2.json` artifact.
+//! `service_throughput` — time the scoring service's request codec.
 //!
 //! The codec benches time `decode_line` and `encode_line` on an evaluate
 //! request (5 responses, about 5 KB) and an execute request (16 responses,
 //! about 10 KB) built from simulated model responses, the sizes the service
-//! decodes on its I/O loop under the paper grid.
-//!
-//! The service measurement is a one-shot run (`harness = false`): it boots a
-//! server on an ephemeral port, drives it from several concurrent pipelined
-//! clients, prints the headline numbers and records the full report.
-//! `repro bench-service` runs the same measurement. See the `wfspeak_bench`
-//! crate docs for the report schema.
+//! decodes on its I/O loop under the paper grid. The end-to-end service
+//! measurement is `repro bench-service` (`BENCH_2.json`).
 
-use criterion::{black_box, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use wfspeak_corpus::prompts::{annotation_prompt, execution_prompt, PromptVariant};
 use wfspeak_corpus::WorkflowSystemId;
 use wfspeak_llm::{CompletionRequest, LlmClient, SamplingParams, SimulatedLlm};
@@ -67,10 +61,5 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn main() {
-    bench_codec(&mut Criterion::default());
-    // `cargo bench` passes harness flags (`--bench`) — ignored — and runs
-    // bench binaries with the package root as cwd, so anchor the artifact
-    // to the workspace root.
-    wfspeak_bench::run_service_bench(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_2.json"));
-}
+criterion_group!(benches, bench_codec);
+criterion_main!(benches);

@@ -14,7 +14,7 @@
 use std::io::Read;
 
 use wfspeak_bench::chaos::{run_chaos_cli, ChaosOptions};
-use wfspeak_bench::{measure_grid_throughput, paper_benchmark};
+use wfspeak_bench::{paper_benchmark, write_report, ARTIFACTS};
 use wfspeak_core::report::{
     qualitative_configurations, qualitative_translations, render_samples, FullReport,
 };
@@ -64,30 +64,26 @@ Evaluation pipeline:
                        against a running server instead of the local grid
                        (honours --system, --lines, --retries, --deadline-ms)
 
-Performance artifacts (rewrite tracked BENCH_N.json snapshots):
+Performance artifacts (rewrite tracked BENCH_N.json snapshots in the
+current directory; exit 1 if a file cannot be written):
     bench          grid throughput -> BENCH_1.json
     bench-service  scoring-service throughput over loopback -> BENCH_2.json
     bench-evaluate evaluation-pipeline throughput -> BENCH_3.json
     bench-execute  dynamic-execution throughput -> BENCH_4.json
     bench-scaling  engine scaling over synthetic topologies -> BENCH_5.json
-                   (honours WFSPEAK_SCALING_MAX as a task-count bound)
     bench-connections
                    high-connection scaling of the event-driven server over
                    loopback, 4 -> 256 -> 1024 closed-loop clients
                    -> BENCH_6.json (honours WFSPEAK_CONNECTIONS_MAX as a
                    client-count bound)
-        --io-threads N event-loop threads    [default: 1]
     bench-parse    wyaml parse throughput over the generated configuration
                    corpus: pre-rewrite baseline vs the zero-copy rewrite,
                    plus per-category failure counts -> BENCH_7.json
-                   (honours WFSPEAK_PARSE_PASSES as a pass-count bound)
 
 Scoring service:
     serve          run the batch scoring server (newline-delimited JSON/TCP)
         --addr A       listen address        [default: 127.0.0.1:7878]
         --workers N    scoring threads       [default: one per core]
-        --io-threads N event-loop threads multiplexing the connections
-                                             [default: 1]
     score          score hypotheses from stdin against a running server
         --addr A       server address        [default: 127.0.0.1:7878]
         --task T       configuration | annotation | translation
@@ -205,48 +201,6 @@ fn figure1(benchmark: &Benchmark) {
     }
 }
 
-fn bench() {
-    let report = measure_grid_throughput();
-    println!(
-        "Grid throughput: {} cells ({} hypotheses, {} metric evaluations) in {:.2}s = {:.1} cells/s",
-        report.grid_cells,
-        report.scored_hypotheses,
-        report.metric_evaluations,
-        report.wall_time_secs,
-        report.cells_per_sec
-    );
-    let path = "BENCH_1.json";
-    match std::fs::write(path, report.to_json() + "\n") {
-        Ok(()) => println!("Wrote {path}\n"),
-        Err(e) => eprintln!("Could not write {path}: {e}\n"),
-    }
-}
-
-fn bench_service() {
-    wfspeak_bench::run_service_bench("BENCH_2.json");
-}
-
-fn bench_evaluate() {
-    wfspeak_bench::run_evaluation_bench("BENCH_3.json");
-}
-
-fn bench_execute() {
-    wfspeak_bench::run_execution_bench("BENCH_4.json");
-}
-
-fn bench_scaling() {
-    wfspeak_bench::run_runtime_scaling_bench("BENCH_5.json");
-}
-
-fn bench_connections(options: &CliOptions) -> Result<(), String> {
-    wfspeak_bench::run_connection_bench("BENCH_6.json", options.io_threads);
-    Ok(())
-}
-
-fn bench_parse() {
-    wfspeak_bench::run_parse_bench("BENCH_7.json");
-}
-
 fn json(benchmark: &Benchmark) {
     let report = FullReport {
         config: benchmark.config().clone(),
@@ -267,7 +221,6 @@ struct CliOptions {
     /// `execute` into client mode).
     addr_set: bool,
     workers: usize,
-    io_threads: usize,
     task: String,
     system: String,
     trials: usize,
@@ -301,7 +254,6 @@ impl CliOptions {
             addr: DEFAULT_ADDR.to_owned(),
             addr_set: false,
             workers: 0,
-            io_threads: 1,
             task: "configuration".to_owned(),
             system: "Henson".to_owned(),
             trials: 5,
@@ -333,14 +285,6 @@ impl CliOptions {
                     options.workers = value_of("--workers")?
                         .parse()
                         .map_err(|e| format!("--workers: {e}"))?;
-                }
-                "--io-threads" => {
-                    options.io_threads = value_of("--io-threads")?
-                        .parse()
-                        .map_err(|e| format!("--io-threads: {e}"))?;
-                    if options.io_threads == 0 {
-                        return Err("--io-threads must be at least 1".to_owned());
-                    }
                 }
                 "--task" => options.task = value_of("--task")?,
                 "--system" => options.system = value_of("--system")?,
@@ -466,7 +410,6 @@ fn execute(options: &CliOptions) -> Result<(), String> {
 fn serve(options: &CliOptions) -> Result<(), String> {
     let config = ServiceConfig {
         workers: options.workers,
-        io_threads: options.io_threads,
         ..ServiceConfig::default()
     };
     let server = ScoringServer::spawn(options.addr.as_str(), config)
@@ -656,19 +599,10 @@ fn main() {
     // `serve` and `score` consume the rest of the argument list as options.
     match args.first().map(String::as_str) {
         Some("serve") => {
-            let result = CliOptions::parse(&args[1..], &["--addr", "--workers", "--io-threads"])
-                .and_then(|o| serve(&o));
+            let result =
+                CliOptions::parse(&args[1..], &["--addr", "--workers"]).and_then(|o| serve(&o));
             if let Err(message) = result {
                 eprintln!("repro serve: {message}");
-                std::process::exit(1);
-            }
-            return;
-        }
-        Some("bench-connections") => {
-            let result = CliOptions::parse(&args[1..], &["--io-threads"])
-                .and_then(|o| bench_connections(&o));
-            if let Err(message) = result {
-                eprintln!("repro bench-connections: {message}");
                 std::process::exit(1);
             }
             return;
@@ -779,34 +713,28 @@ fn main() {
 
     // Artifact subcommands: validate everything before running anything, so
     // a typo late in the list doesn't waste a full benchmark run.
-    const ARTIFACTS: [&str; 15] = [
-        "run",
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "table5",
-        "table6",
-        "figure1",
-        "json",
-        "bench",
-        "bench-service",
-        "bench-evaluate",
-        "bench-execute",
-        "bench-scaling",
-        "bench-parse",
+    const TABLES: [&str; 9] = [
+        "run", "table1", "table2", "table3", "table4", "table5", "table6", "figure1", "json",
     ];
+    let bench = |name: &str| {
+        ARTIFACTS
+            .into_iter()
+            .find(|(subcommand, ..)| *subcommand == name)
+    };
     let selections: Vec<&str> = if args.is_empty() {
         vec!["run"]
     } else {
         args.iter().map(String::as_str).collect()
     };
-    if let Some(unknown) = selections.iter().find(|s| !ARTIFACTS.contains(s)) {
+    if let Some(unknown) = selections
+        .iter()
+        .find(|s| !TABLES.contains(s) && bench(s).is_none())
+    {
         eprintln!("repro: unknown subcommand `{unknown}`\n\n{USAGE}");
         std::process::exit(2);
     }
 
-    // `bench` / `bench-service` are deliberately not part of the default
+    // The `bench*` subcommands are deliberately not part of the default
     // run: they rewrite BENCH_N.json (tracked perf-trajectory snapshots)
     // with run-dependent timings, so they only execute when explicitly
     // requested.
@@ -830,13 +758,13 @@ fn main() {
             "table6" => table6(&benchmark),
             "figure1" => figure1(&benchmark),
             "json" => json(&benchmark),
-            "bench" => bench(),
-            "bench-service" => bench_service(),
-            "bench-evaluate" => bench_evaluate(),
-            "bench-execute" => bench_execute(),
-            "bench-scaling" => bench_scaling(),
-            "bench-parse" => bench_parse(),
-            _ => unreachable!("validated above"),
+            other => {
+                let (_, file, measure) = bench(other).expect("validated above");
+                if let Err(e) = write_report(file, &measure()) {
+                    eprintln!("repro {other}: cannot write {file}: {e}");
+                    std::process::exit(1);
+                }
+            }
         }
     }
 }

@@ -2,117 +2,54 @@
 //!
 //! # The `BENCH_N.json` artifacts
 //!
-//! Each PR that changes a hot path records a machine-readable performance
-//! snapshot at the repository root, named `BENCH_<n>.json` with `n`
-//! increasing per PR. The files are small flat JSON objects so trends can be
-//! compared across PRs with nothing fancier than `jq`:
+//! Seven machine-readable performance snapshots live at the repository
+//! root. Each is written by one `repro` subcommand (listed in
+//! [`ARTIFACTS`]) into the current directory, and every one is a
+//! [`BenchReport`]:
 //!
-//! * **`BENCH_1.json`** ([`GridBenchReport`], written by `repro bench`) —
-//!   one-shot grid throughput: the three table experiments end-to-end.
-//! * **`BENCH_2.json`** ([`ServiceBenchReport`], written by the
-//!   `service_throughput` bench or `repro bench-service`) — scoring-service
-//!   throughput over loopback TCP.
-//! * **`BENCH_3.json`** ([`EvaluationBenchReport`], written by the
-//!   `evaluation_throughput` bench or `repro bench-evaluate`) — full
-//!   evaluation-pipeline throughput (extraction → API-call comparison →
-//!   BLEU/ChrF) over repeated passes of the three experiment grids:
-//!   `evaluations` / `evaluations_per_sec` count responses taken through
-//!   the whole pipeline, `hallucinated_calls` is a workload checksum, and
-//!   the `cache_*` fields report the shared prepared-reference cache
-//!   (later passes re-hit the references the first pass prepared).
-//! * **`BENCH_4.json`** ([`ExecutionBenchReport`], written by the
-//!   `execution_throughput` bench or `repro bench-execute`) —
-//!   dynamic-execution throughput over repeated passes of the five-system
-//!   execution grid: every generated artifact (configuration file or
-//!   annotated Python task code) is parsed into a workflow spec and *run*
-//!   on the runtime engine under the evaluation sandbox.
-//!   `executions` / `executions_per_sec` count full extract → parse → run
-//!   → trace-score pipelines (the headline number; each completed run
-//!   moves real messages), `completed` /
-//!   `unparsed` split the workload by outcome and — together with
-//!   `mean_runnability` / `mean_fidelity` — act as a determinism checksum:
-//!   they must not drift between runs of the same seed.
-//! * **`BENCH_5.json`** ([`RuntimeScalingReport`], written by the
-//!   `runtime_scaling` bench or `repro bench-scaling`) — engine scaling
-//!   over synthetic topologies: every acyclic [`wfspeak_systems::topo`]
-//!   shape (fan-out, chain, diamond, random) at 10/100/1000 tasks is taken
-//!   through validate → normalize → engine run → trace summary, twice.
-//!   Each `tiers[]` entry carries the
-//!   tier's exact workload counters (`tasks`, `edges`, `published`,
-//!   `received`), its `checksum` (an FNV-1a fold of the run's
-//!   [`wfspeak_runtime::TraceSummary`] as a `0x`-prefixed hex string,
-//!   bit-identical across repeat runs of the same seed)
-//!   and its `tasks_per_sec` / `messages_per_sec` rates; the report-level
-//!   `checksum` folds all tier checksums, and `deterministic` asserts
-//!   that both runs of every tier summarised identically (trace
-//!   fidelity exactly 1.0). `max_tasks` records any tier bound in force
-//!   (the CI smoke caps the sweep at the 100-task tier via
-//!   `WFSPEAK_SCALING_MAX`; `null` means unbounded).
-//! * **`BENCH_6.json`** ([`ConnectionScalingReport`], written by the
-//!   `connection_scaling` bench or `repro bench-connections`) —
-//!   high-connection scaling of the event-driven server: the same fixed
-//!   request budget is pushed through 4, then 256, then 1024 concurrent
-//!   closed-loop clients (each sends one request, reads the reply, thinks
-//!   for `think_time_ms`, and repeats — the textbook closed-loop load
-//!   model, so a small client count is latency-bound while large counts
-//!   saturate the worker pool through one multiplexed event loop), one
-//!   fresh server per tier so latency percentiles don't bleed across
-//!   tiers. Each `tiers[]` entry carries exact workload
-//!   counters (`clients`, `requests`, `hypotheses`), the tier's
-//!   `requests_per_sec` / `hypotheses_per_sec` rates, and the server-side
-//!   `latency_p50_us` / `latency_p95_us` / `latency_p99_us` percentiles
-//!   from the power-of-two latency histogram (admission → reply handoff).
-//!   `io_threads` records the event-loop count the servers ran with,
-//!   `max_clients` any tier bound in force (the CI smoke caps at 64
-//!   clients via `WFSPEAK_CONNECTIONS_MAX`; `null` means the full 1024
-//!   sweep), and `summary_checksum` folds the deterministic workload
-//!   counters (not the timings) so two runs of the same configuration are
-//!   comparable at a glance. The scaling claim BENCH_6 exists to track:
-//!   per-request throughput at ≥256 connections must beat the 4-client
-//!   figure, because the readiness loop amortises wakeups and keeps the
-//!   worker pool's queue from ever running dry.
-//! * **`BENCH_7.json`** ([`ParseBenchReport`], written by the
-//!   `parse_throughput` bench or `repro bench-parse`) — wyaml parse
-//!   throughput over the generated configuration corpus (180 artifacts
-//!   with the paper defaults: 3 configuration systems × 4 models × 5
-//!   trials × 3 prompt variants, code-extracted exactly as the execution
-//!   pipeline sees them).  Three parsers are timed over the same corpus:
-//!   the preserved pre-rewrite parser (`wfspeak_wyaml::baseline`), the
-//!   rewritten owned entry point (`wfspeak_wyaml::parse`) and the borrowed
-//!   zero-copy entry point (`wfspeak_wyaml::parse_document`).
-//!   `parsed_ok` and the per-`ErrorKind` `failure_categories` are
-//!   determinism checksums (same seed ⇒ same counts), and the
-//!   `speedup_*_vs_baseline` ratios are the trend signal the artifact
-//!   exists to track: the rewrite must stay ≥2× the pre-rewrite parser on
-//!   this corpus.  `passes` records the sweep size in force (the CI smoke
-//!   bounds it via `WFSPEAK_PARSE_PASSES`).
+//! ```text
+//! { bench_id, host: {cpus, profile}, config: {…}, counters: {…},
+//!   timings: {…}, tiers: [{label, counters, timings}] }
+//! ```
 //!
-//! Shared schema conventions:
+//! * `bench_id` names the file (`"BENCH_3"` for `BENCH_3.json`).
+//! * `host` is the machine it ran on: logical CPUs and the build profile.
+//!   Timings from different hosts are not comparable.
+//! * `config` holds the inputs of the measurement (trials, passes, seeds,
+//!   client counts, bounds).
+//! * `counters` holds only values that are a pure function of `config`:
+//!   workload counts, cache hits and misses, outcome counts, mean scores
+//!   and FNV-1a checksums. Two runs with equal `config` must produce equal
+//!   `counters` on any host; CI fails when a regenerated file's counters
+//!   differ from the committed file's.
+//! * `timings` holds everything read off a clock: `wall_time_secs`, every
+//!   `*_per_sec` rate, latency percentiles and speedups. Timings are
+//!   evidence, not gates.
+//! * `tiers` breaks a sweep into its points, each with its own counters
+//!   and timings; it is empty for single-point measurements.
 //!
-//! * `bench_id` — the artifact's own name (`"BENCH_1"`, `"BENCH_2"`), so a
-//!   file's schema is self-identifying.
-//! * Counters (`grid_cells`, `scored_hypotheses`, `requests`, …) are exact
-//!   integers describing the measured workload; when comparing two PRs,
-//!   check the counters match before comparing rates.
-//! * `wall_time_secs` is wall-clock seconds for the whole measured section
-//!   (f64); every `*_per_sec` field is the matching counter divided by
-//!   `wall_time_secs`. Rates are the trend signal: higher is better, and a
-//!   regression over ~20% that the counters don't explain deserves
-//!   investigation.
-//! * `cache_*` fields count prepared-reference cache traffic (the
-//!   `CacheStats` counters from `wfspeak-metrics`); `cache_hit_rate` is
-//!   `hits / (hits + misses)` in `0.0..=1.0`.
+//! | File | Subcommand | Workload | Counters |
+//! |---|---|---|---|
+//! | `BENCH_1.json` | `bench` | the three table experiments, scored | `grid_cells`, `scored_hypotheses`, `metric_evaluations`, `prepared_references` |
+//! | `BENCH_2.json` | `bench-service` | score requests over loopback TCP | `requests`, `scored_hypotheses`, `cache_hits`, `cache_misses`, `cache_hit_rate` |
+//! | `BENCH_3.json` | `bench-evaluate` | the three experiment grids through extraction, call comparison and BLEU/ChrF | `grid_cells`, `evaluations`, `hallucinated_calls`, `cache_hits`, `cache_misses`, `cache_hit_rate` |
+//! | `BENCH_4.json` | `bench-execute` | the five-system execution grid, parsed and run | `grid_cells`, `executions`, `completed`, `unparsed`, `mean_runnability`, `mean_fidelity` |
+//! | `BENCH_5.json` | `bench-scaling` | synthetic topologies on the runtime engine, one tier per shape and size | `total_tasks`, `total_messages`, `deterministic`, `checksum`; per tier `tasks`, `edges`, `published`, `received`, `checksum` |
+//! | `BENCH_6.json` | `bench-connections` | closed-loop clients against the event-driven server, one tier per client count | `total_requests`, `total_hypotheses`, `summary_checksum`; per tier `clients`, `requests`, `hypotheses` |
+//! | `BENCH_7.json` | `bench-parse` | wyaml over the 180-artifact configuration corpus: pre-rewrite baseline, owned and zero-copy parsers | `artifacts`, `total_bytes`, `parsed_ok`, `failure_categories` |
 //!
-//! The files are regenerated only on explicit request (`repro bench`,
-//! `repro bench-service`, or running the bench binaries) because they hold
-//! run-dependent timings: a default `repro` run must not dirty the tracked
-//! perf trajectory.
+//! `WFSPEAK_CONNECTIONS_MAX` bounds the client count of `bench-connections`
+//! (it is recorded as `config.max_clients`). The files are regenerated only
+//! on explicit request, because they hold run-dependent timings.
 
 pub mod chaos;
 
-use std::time::Instant;
+use std::collections::BTreeMap;
+use std::path::Path;
+use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use wfspeak_core::{Benchmark, BenchmarkConfig, ExperimentKind, PromptVariant};
 use wfspeak_service::{ScoreRequest, ScoringClient, ScoringServer, ServiceConfig, TaskKind};
 
@@ -130,40 +67,173 @@ pub fn bench_benchmark() -> Benchmark {
     })
 }
 
-/// Machine-readable grid-throughput report emitted as `BENCH_<n>.json` so
-/// future changes have a performance trajectory to compare against.
-#[derive(Debug, Clone, Serialize)]
-pub struct GridBenchReport {
-    /// Report schema / sequence tag (`BENCH_1` for this PR).
+/// Named report values, serialised as a JSON object in key order.
+pub type Fields = BTreeMap<String, Value>;
+
+/// Build [`Fields`] from `"name": value` pairs of serialisable values.
+macro_rules! fields {
+    ($($name:literal: $value:expr),* $(,)?) => {
+        Fields::from([$(($name.to_owned(), Serialize::serialize(&$value))),*])
+    };
+}
+
+/// The machine a report was measured on.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Host {
+    /// Logical CPUs available to the measuring process.
+    pub cpus: usize,
+    /// Build profile of the measuring binary (`release` or `debug`).
+    pub profile: String,
+}
+
+impl Host {
+    /// The host this process runs on.
+    fn current() -> Host {
+        Host {
+            cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            }
+            .to_owned(),
+        }
+    }
+}
+
+/// One point of a swept measurement (a topology, a client count).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Tier {
+    /// What distinguishes this point from the others in the sweep.
+    pub label: String,
+    /// The point's deterministic values.
+    pub counters: Fields,
+    /// The point's clock readings.
+    pub timings: Fields,
+}
+
+/// One `BENCH_N.json` artifact; see the crate docs for the schema.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BenchReport {
+    /// The artifact's file stem (`BENCH_1` … `BENCH_7`).
     pub bench_id: String,
-    /// Trials per cell used for the measurement.
-    pub trials: usize,
-    /// Scored `(row × model)` cells across the three table experiments.
-    pub grid_cells: usize,
-    /// Scored hypotheses (`grid_cells × trials`).
-    pub scored_hypotheses: usize,
-    /// Metric evaluations (`scored_hypotheses × 2`: BLEU and ChrF).
-    pub metric_evaluations: usize,
-    /// Distinct references prepared once and shared across the grid.
-    pub prepared_references: usize,
-    /// Wall-clock seconds for the full three-experiment grid.
-    pub wall_time_secs: f64,
-    /// Grid cells scored per second.
-    pub cells_per_sec: f64,
-    /// Metric evaluations per second.
-    pub metric_evals_per_sec: f64,
+    /// The machine the report was measured on.
+    pub host: Host,
+    /// Inputs of the measurement.
+    pub config: Fields,
+    /// Values that are a pure function of `config`.
+    pub counters: Fields,
+    /// Values read off a clock.
+    pub timings: Fields,
+    /// Points of a sweep, in sweep order; empty otherwise.
+    pub tiers: Vec<Tier>,
+}
+
+impl BenchReport {
+    fn new(bench_id: &str, config: Fields, counters: Fields, timings: Fields) -> Self {
+        BenchReport {
+            bench_id: bench_id.to_owned(),
+            host: Host::current(),
+            config,
+            counters,
+            timings,
+            tiers: Vec::new(),
+        }
+    }
+
+    /// Pretty JSON for the artifact file.
+    fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
+    }
+
+    /// One line of counters and timings, then one line per tier.
+    fn summary(&self) -> String {
+        let line = |counters: &Fields, timings: &Fields| {
+            format!("{} | {}", render(counters), render(timings))
+        };
+        let mut summary = format!("{}: {}", self.bench_id, line(&self.counters, &self.timings));
+        for tier in &self.tiers {
+            summary += &format!(
+                "\n  {}: {}",
+                tier.label,
+                line(&tier.counters, &tier.timings)
+            );
+        }
+        summary
+    }
+}
+
+/// `name=value` pairs, floats to four decimals.
+fn render(fields: &Fields) -> String {
+    let pairs: Vec<String> = fields
+        .iter()
+        .map(|(name, value)| match value {
+            Value::Float(f) => format!("{name}={f:.4}"),
+            other => format!(
+                "{name}={}",
+                serde_json::to_string(other).unwrap_or_default()
+            ),
+        })
+        .collect();
+    pairs.join(" ")
+}
+
+/// An integer field of a report, `0` when absent.
+fn count(fields: &Fields, name: &str) -> u64 {
+    fields.get(name).and_then(Value::as_i64).unwrap_or(0) as u64
+}
+
+/// Print the report's summary and write its pretty JSON to `path`.
+pub fn write_report(path: impl AsRef<Path>, report: &BenchReport) -> std::io::Result<()> {
+    let path = path.as_ref();
+    println!("{}", report.summary());
+    std::fs::write(path, report.to_json() + "\n")?;
+    println!("Wrote {}\n", path.display());
+    Ok(())
+}
+
+/// An artifact as `(repro subcommand, file name, measurement at its
+/// standard scale)`.
+pub type Artifact = (&'static str, &'static str, fn() -> BenchReport);
+
+/// Every artifact, in file order.
+pub const ARTIFACTS: [Artifact; 7] = [
+    ("bench", "BENCH_1.json", measure_grid_throughput),
+    ("bench-service", "BENCH_2.json", || {
+        measure_service_throughput(4, 64, 8)
+    }),
+    ("bench-evaluate", "BENCH_3.json", || {
+        measure_evaluation_throughput(3)
+    }),
+    ("bench-execute", "BENCH_4.json", || {
+        measure_execution_throughput(3)
+    }),
+    ("bench-scaling", "BENCH_5.json", || {
+        measure_runtime_scaling(usize::MAX, 42)
+    }),
+    ("bench-connections", "BENCH_6.json", || {
+        measure_connection_scaling(connections_max(), 4096, 4, Duration::from_millis(2))
+    }),
+    ("bench-parse", "BENCH_7.json", || {
+        measure_parse_throughput(400)
+    }),
+];
+
+/// Cells across the three table experiments.
+fn experiment_cells(benchmark: &Benchmark) -> usize {
+    ExperimentKind::ALL
+        .iter()
+        .map(|&kind| benchmark.grid_cells(kind))
+        .sum()
 }
 
 /// Run the three table experiments end-to-end (prompt assembly → simulated
 /// models → extraction → scoring → aggregation) on a fresh benchmark and
-/// measure grid throughput.
-pub fn measure_grid_throughput() -> GridBenchReport {
+/// measure grid throughput (`BENCH_1`).
+pub fn measure_grid_throughput() -> BenchReport {
     let benchmark = paper_benchmark();
     let trials = benchmark.config().trials;
-    let grid_cells: usize = ExperimentKind::ALL
-        .iter()
-        .map(|&kind| benchmark.grid_cells(kind))
-        .sum();
+    let grid_cells = experiment_cells(&benchmark);
 
     let start = Instant::now();
     for kind in ExperimentKind::ALL {
@@ -174,75 +244,34 @@ pub fn measure_grid_throughput() -> GridBenchReport {
 
     let scored_hypotheses = grid_cells * trials;
     let metric_evaluations = scored_hypotheses * 2;
-    GridBenchReport {
-        bench_id: "BENCH_1".to_owned(),
-        trials,
-        grid_cells,
-        scored_hypotheses,
-        metric_evaluations,
-        prepared_references: benchmark.reference_cache().len(),
-        wall_time_secs: wall,
-        cells_per_sec: grid_cells as f64 / wall,
-        metric_evals_per_sec: metric_evaluations as f64 / wall,
-    }
-}
-
-impl GridBenchReport {
-    /// Pretty JSON for the `BENCH_1.json` artifact.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
-    }
-}
-
-/// Machine-readable evaluation-pipeline throughput report emitted as
-/// `BENCH_3.json` (see the crate docs for the schema conventions).
-#[derive(Debug, Clone, Serialize)]
-pub struct EvaluationBenchReport {
-    /// Report schema / sequence tag (`BENCH_3` for the evaluation bench).
-    pub bench_id: String,
-    /// Trials per cell used for the measurement.
-    pub trials: usize,
-    /// Full passes over the three experiment grids.
-    pub passes: usize,
-    /// Evaluated `(row × model)` cells across all passes.
-    pub grid_cells: usize,
-    /// Responses taken through the full pipeline (`grid_cells × trials`).
-    pub evaluations: usize,
-    /// Hallucinated API calls detected across the whole workload (a
-    /// checksum: it must not drift between runs of the same seed).
-    pub hallucinated_calls: usize,
-    /// Prepared-reference cache hits across all passes.
-    pub cache_hits: u64,
-    /// Prepared-reference cache misses (distinct references prepared).
-    pub cache_misses: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`, in `0.0..=1.0`.
-    pub cache_hit_rate: f64,
-    /// Wall-clock seconds for all passes.
-    pub wall_time_secs: f64,
-    /// Full-pipeline evaluations per second — the headline number.
-    pub evaluations_per_sec: f64,
-}
-
-impl EvaluationBenchReport {
-    /// Pretty JSON for the `BENCH_3.json` artifact.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
-    }
+    BenchReport::new(
+        "BENCH_1",
+        fields! { "trials": trials },
+        fields! {
+            "grid_cells": grid_cells,
+            "scored_hypotheses": scored_hypotheses,
+            "metric_evaluations": metric_evaluations,
+            "prepared_references": benchmark.reference_cache().len(),
+        },
+        fields! {
+            "wall_time_secs": wall,
+            "cells_per_sec": grid_cells as f64 / wall,
+            "metric_evals_per_sec": metric_evaluations as f64 / wall,
+        },
+    )
 }
 
 /// Run `passes` full passes of the three experiment grids through the
 /// evaluation pipeline (extraction → API-call comparison → BLEU/ChrF) on a
-/// fresh benchmark and measure end-to-end evaluation throughput.
+/// fresh benchmark and measure end-to-end evaluation throughput
+/// (`BENCH_3`).
 ///
 /// Every pass shares one [`wfspeak_core::ReferenceCache`]; the first pass
 /// prepares each distinct reference once, later passes only hit.
-pub fn measure_evaluation_throughput(passes: usize) -> EvaluationBenchReport {
+pub fn measure_evaluation_throughput(passes: usize) -> BenchReport {
     let benchmark = paper_benchmark();
     let trials = benchmark.config().trials;
-    let cells_per_pass: usize = ExperimentKind::ALL
-        .iter()
-        .map(|&kind| benchmark.grid_cells(kind))
-        .sum();
+    let cells_per_pass = experiment_cells(&benchmark);
 
     let start = Instant::now();
     let mut hallucinated_calls = 0usize;
@@ -258,90 +287,32 @@ pub fn measure_evaluation_throughput(passes: usize) -> EvaluationBenchReport {
     let wall = start.elapsed().as_secs_f64();
 
     let cache = benchmark.reference_cache().stats();
-    EvaluationBenchReport {
-        bench_id: "BENCH_3".to_owned(),
-        trials,
-        passes,
-        grid_cells: cells_per_pass * passes,
-        evaluations,
-        hallucinated_calls,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        cache_hit_rate: cache.hit_rate(),
-        wall_time_secs: wall,
-        evaluations_per_sec: evaluations as f64 / wall,
-    }
+    BenchReport::new(
+        "BENCH_3",
+        fields! { "trials": trials, "passes": passes },
+        fields! {
+            "grid_cells": cells_per_pass * passes,
+            "evaluations": evaluations,
+            "hallucinated_calls": hallucinated_calls,
+            "cache_hits": cache.hits,
+            "cache_misses": cache.misses,
+            "cache_hit_rate": cache.hit_rate(),
+        },
+        fields! {
+            "wall_time_secs": wall,
+            "evaluations_per_sec": evaluations as f64 / wall,
+        },
+    )
 }
 
-/// Run the evaluation bench at its standard scale (3 passes), print the
-/// headline numbers and write the report to `path`. Shared by
-/// `repro bench-evaluate` and the `evaluation_throughput` bench binary so
-/// the two artifacts cannot drift.
-pub fn run_evaluation_bench(path: &str) {
-    let report = measure_evaluation_throughput(3);
-    println!(
-        "Evaluation throughput: {} evaluations ({} cells × {} trials, {} passes) in {:.2}s \
-         = {:.1} evaluations/s (cache hit rate {:.3}, {} hallucinated calls)",
-        report.evaluations,
-        report.grid_cells,
-        report.trials,
-        report.passes,
-        report.wall_time_secs,
-        report.evaluations_per_sec,
-        report.cache_hit_rate,
-        report.hallucinated_calls,
-    );
-    match std::fs::write(path, report.to_json() + "\n") {
-        Ok(()) => println!("Wrote {path}\n"),
-        Err(e) => eprintln!("Could not write {path}: {e}\n"),
-    }
-}
-
-/// Machine-readable dynamic-execution throughput report emitted as
-/// `BENCH_4.json` (see the crate docs for the schema conventions).
-#[derive(Debug, Clone, Serialize)]
-pub struct ExecutionBenchReport {
-    /// Report schema / sequence tag (`BENCH_4` for the execution bench).
-    pub bench_id: String,
-    /// Trials per cell used for the measurement.
-    pub trials: usize,
-    /// Full passes over the configuration-experiment grid.
-    pub passes: usize,
-    /// Executed `(system × model)` cells across all passes.
-    pub grid_cells: usize,
-    /// Responses taken through extract → parse → run → trace scoring
-    /// (`grid_cells × trials`).
-    pub executions: usize,
-    /// Executions whose workflow ran to completion (a determinism
-    /// checksum: must not drift between runs of the same seed).
-    pub completed: usize,
-    /// Executions whose artifact did not even parse (checksum).
-    pub unparsed: usize,
-    /// Mean runnability over the whole workload, 0–100 (checksum).
-    pub mean_runnability: f64,
-    /// Mean trace fidelity over the whole workload, 0–100 (checksum).
-    pub mean_fidelity: f64,
-    /// Wall-clock seconds for all passes.
-    pub wall_time_secs: f64,
-    /// Full executions per second — the headline number.
-    pub executions_per_sec: f64,
-}
-
-impl ExecutionBenchReport {
-    /// Pretty JSON for the `BENCH_4.json` artifact.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
-    }
-}
-
-/// Run `passes` full passes of the configuration grid through dynamic
-/// execution (every generated configuration parsed and run on the runtime
-/// engine) on a fresh benchmark and measure end-to-end execution
-/// throughput.
+/// Run `passes` full passes of the five-system execution grid through
+/// dynamic execution (every generated artifact parsed and run on the
+/// runtime engine) on a fresh benchmark and measure end-to-end execution
+/// throughput (`BENCH_4`).
 ///
 /// Every pass shares the benchmark's [`wfspeak_core::ExecutionPipeline`],
 /// so each system's reference run happens exactly once.
-pub fn measure_execution_throughput(passes: usize) -> ExecutionBenchReport {
+pub fn measure_execution_throughput(passes: usize) -> BenchReport {
     let benchmark = paper_benchmark();
     let trials = benchmark.config().trials;
 
@@ -368,115 +339,31 @@ pub fn measure_execution_throughput(passes: usize) -> ExecutionBenchReport {
     }
     let wall = start.elapsed().as_secs_f64();
 
-    ExecutionBenchReport {
-        bench_id: "BENCH_4".to_owned(),
-        trials,
-        passes,
-        grid_cells,
-        executions,
-        completed,
-        unparsed,
-        mean_runnability: runnability_sum / executions.max(1) as f64,
-        mean_fidelity: fidelity_sum / executions.max(1) as f64,
-        wall_time_secs: wall,
-        executions_per_sec: executions as f64 / wall,
-    }
-}
-
-/// Run the execution bench at its standard scale (3 passes), print the
-/// headline numbers and write the report to `path`. Shared by
-/// `repro bench-execute` and the `execution_throughput` bench binary so the
-/// two artifacts cannot drift.
-pub fn run_execution_bench(path: &str) {
-    let report = measure_execution_throughput(3);
-    println!(
-        "Execution throughput: {} executions ({} cells × {} trials, {} passes) in {:.2}s \
-         = {:.1} executions/s ({} completed, {} unparsed, mean runnability {:.2}, mean fidelity {:.2})",
-        report.executions,
-        report.grid_cells,
-        report.trials,
-        report.passes,
-        report.wall_time_secs,
-        report.executions_per_sec,
-        report.completed,
-        report.unparsed,
-        report.mean_runnability,
-        report.mean_fidelity,
-    );
-    match std::fs::write(path, report.to_json() + "\n") {
-        Ok(()) => println!("Wrote {path}\n"),
-        Err(e) => eprintln!("Could not write {path}: {e}\n"),
-    }
-}
-
-/// One failure category of the parse-bench corpus: a stable
-/// [`wfspeak_wyaml::ErrorKind`] code with the number of corpus artifacts
-/// whose parse fails with it.
-#[derive(Debug, Clone, Serialize)]
-pub struct ParseFailureCount {
-    /// Stable kebab-case `ErrorKind` code (`tab-indent`, `duplicate-key`, …).
-    pub category: String,
-    /// Artifacts in the corpus that fail with this category.
-    pub count: usize,
-}
-
-/// Machine-readable parse-throughput report emitted as `BENCH_7.json` (see
-/// the crate docs for the schema conventions).
-#[derive(Debug, Clone, Serialize)]
-pub struct ParseBenchReport {
-    /// Report schema / sequence tag (`BENCH_7` for the parse bench).
-    pub bench_id: String,
-    /// Artifacts in the corpus (180 with the paper defaults).
-    pub artifacts: usize,
-    /// Total corpus size in bytes (exact workload counter).
-    pub total_bytes: usize,
-    /// Timed passes over the corpus, per parser.
-    pub passes: usize,
-    /// Corpus artifacts the parser accepts (determinism checksum: must not
-    /// drift between runs of the same seed).
-    pub parsed_ok: usize,
-    /// Per-`ErrorKind` counts over the rejected artifacts, most frequent
-    /// first, ties broken by category (checksum).
-    pub failure_categories: Vec<ParseFailureCount>,
-    /// Wall-clock seconds for all passes of the pre-rewrite parser
-    /// ([`wfspeak_wyaml::baseline`]).
-    pub baseline_wall_time_secs: f64,
-    /// Pre-rewrite parses per second.
-    pub baseline_parses_per_sec: f64,
-    /// Wall-clock seconds for the rewritten owned entry point
-    /// ([`wfspeak_wyaml::parse()`]: zero-copy parse + `into_owned`).
-    pub owned_wall_time_secs: f64,
-    /// Owned-entry-point parses per second.
-    pub owned_parses_per_sec: f64,
-    /// Wall-clock seconds for the borrowed entry point
-    /// ([`wfspeak_wyaml::parse_document`], no owned conversion).
-    pub zero_copy_wall_time_secs: f64,
-    /// Zero-copy parses per second — the headline number.
-    pub zero_copy_parses_per_sec: f64,
-    /// Zero-copy corpus throughput in MB/s.
-    pub zero_copy_mb_per_sec: f64,
-    /// `baseline_wall_time_secs / owned_wall_time_secs` — the apples-to-
-    /// apples speedup of the rewrite behind the unchanged owned API.
-    pub speedup_owned_vs_baseline: f64,
-    /// `baseline_wall_time_secs / zero_copy_wall_time_secs` — the speedup
-    /// when consumers use the borrowed document directly.
-    pub speedup_zero_copy_vs_baseline: f64,
-}
-
-impl ParseBenchReport {
-    /// Pretty JSON for the `BENCH_7.json` artifact.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
-    }
+    BenchReport::new(
+        "BENCH_4",
+        fields! { "trials": trials, "passes": passes },
+        fields! {
+            "grid_cells": grid_cells,
+            "executions": executions,
+            "completed": completed,
+            "unparsed": unparsed,
+            "mean_runnability": runnability_sum / executions.max(1) as f64,
+            "mean_fidelity": fidelity_sum / executions.max(1) as f64,
+        },
+        fields! {
+            "wall_time_secs": wall,
+            "executions_per_sec": executions as f64 / wall,
+        },
+    )
 }
 
 /// Measure wyaml parse throughput over the generated configuration corpus
 /// ([`wfspeak_core::Benchmark::configuration_corpus`]): `passes` timed
 /// passes each for the pre-rewrite baseline parser, the rewritten owned
 /// entry point and the borrowed zero-copy entry point, plus one untimed
-/// pass that records the accept count and per-`ErrorKind` failure
-/// categories as determinism checksums.
-pub fn measure_parse_throughput(passes: usize) -> ParseBenchReport {
+/// pass that counts accepted artifacts and rejections per `ErrorKind` code
+/// (`BENCH_7`).
+pub fn measure_parse_throughput(passes: usize) -> BenchReport {
     use wfspeak_wyaml::{baseline, parse, parse_document};
 
     let corpus = paper_benchmark().configuration_corpus();
@@ -485,20 +372,17 @@ pub fn measure_parse_throughput(passes: usize) -> ParseBenchReport {
 
     // Checksum pass: outcome of the rewritten parser over the corpus.
     let mut parsed_ok = 0usize;
-    let mut categories: Vec<(String, usize)> = Vec::new();
+    let mut failure_categories: BTreeMap<String, usize> = BTreeMap::new();
     for doc in &corpus {
         match parse(doc) {
             Ok(_) => parsed_ok += 1,
             Err(e) => {
-                let code = e.kind.code().to_owned();
-                match categories.iter_mut().find(|(c, _)| *c == code) {
-                    Some((_, n)) => *n += 1,
-                    None => categories.push((code, 1)),
-                }
+                *failure_categories
+                    .entry(e.kind.code().to_owned())
+                    .or_default() += 1
             }
         }
     }
-    categories.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
     // The three parsers are timed in interleaved passes (baseline, owned,
     // zero-copy, repeat) so clock-frequency drift over the measurement
@@ -526,136 +410,31 @@ pub fn measure_parse_throughput(passes: usize) -> ParseBenchReport {
     }
 
     let parses = (artifacts * passes) as f64;
-    ParseBenchReport {
-        bench_id: "BENCH_7".to_owned(),
-        artifacts,
-        total_bytes,
-        passes,
-        parsed_ok,
-        failure_categories: categories
-            .into_iter()
-            .map(|(category, count)| ParseFailureCount { category, count })
-            .collect(),
-        baseline_wall_time_secs: baseline_wall,
-        baseline_parses_per_sec: parses / baseline_wall,
-        owned_wall_time_secs: owned_wall,
-        owned_parses_per_sec: parses / owned_wall,
-        zero_copy_wall_time_secs: zero_copy_wall,
-        zero_copy_parses_per_sec: parses / zero_copy_wall,
-        zero_copy_mb_per_sec: (total_bytes * passes) as f64 / zero_copy_wall / 1e6,
-        speedup_owned_vs_baseline: baseline_wall / owned_wall,
-        speedup_zero_copy_vs_baseline: baseline_wall / zero_copy_wall,
-    }
-}
-
-/// Run the parse bench at its standard scale (400 passes; `WFSPEAK_PARSE_PASSES`
-/// overrides, so the CI smoke can run a bounded sweep), print the headline
-/// numbers and write the report to `path`. Shared by `repro bench-parse`
-/// and the `parse_throughput` bench binary so the two artifacts cannot
-/// drift.
-pub fn run_parse_bench(path: &str) {
-    let passes = std::env::var("WFSPEAK_PARSE_PASSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&p: &usize| p > 0)
-        .unwrap_or(400);
-    let report = measure_parse_throughput(passes);
-    let failures: Vec<String> = report
-        .failure_categories
-        .iter()
-        .map(|f| format!("{}×{}", f.category, f.count))
-        .collect();
-    println!(
-        "Parse throughput: {} artifacts ({} bytes) × {} passes: baseline {:.0}/s, \
-         owned {:.0}/s ({:.2}×), zero-copy {:.0}/s ({:.2}×, {:.1} MB/s); \
-         {} parse OK, failures: {}",
-        report.artifacts,
-        report.total_bytes,
-        report.passes,
-        report.baseline_parses_per_sec,
-        report.owned_parses_per_sec,
-        report.speedup_owned_vs_baseline,
-        report.zero_copy_parses_per_sec,
-        report.speedup_zero_copy_vs_baseline,
-        report.zero_copy_mb_per_sec,
-        report.parsed_ok,
-        if failures.is_empty() {
-            "none".to_owned()
-        } else {
-            failures.join(", ")
+    BenchReport::new(
+        "BENCH_7",
+        fields! { "passes": passes },
+        fields! {
+            "artifacts": artifacts,
+            "total_bytes": total_bytes,
+            "parsed_ok": parsed_ok,
+            "failure_categories": failure_categories,
         },
-    );
-    match std::fs::write(path, report.to_json() + "\n") {
-        Ok(()) => println!("Wrote {path}\n"),
-        Err(e) => eprintln!("Could not write {path}: {e}\n"),
-    }
+        fields! {
+            "baseline_wall_time_secs": baseline_wall,
+            "baseline_parses_per_sec": parses / baseline_wall,
+            "owned_wall_time_secs": owned_wall,
+            "owned_parses_per_sec": parses / owned_wall,
+            "zero_copy_wall_time_secs": zero_copy_wall,
+            "zero_copy_parses_per_sec": parses / zero_copy_wall,
+            "zero_copy_mb_per_sec": (total_bytes * passes) as f64 / zero_copy_wall / 1e6,
+            "speedup_owned_vs_baseline": baseline_wall / owned_wall,
+            "speedup_zero_copy_vs_baseline": baseline_wall / zero_copy_wall,
+        },
+    )
 }
 
-/// One topology tier of the runtime-scaling measurement: a shape at a task
-/// count, run through validate → normalize → engine → trace summary.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScalingTierReport {
-    /// Topology shape label (`fan-out`, `chain`, `diamond`, `random`).
-    pub shape: String,
-    /// Tasks in the generated workflow.
-    pub tasks: usize,
-    /// Producer→consumer edges in the generated workflow.
-    pub edges: usize,
-    /// Dataset messages published during the run (exact counter).
-    pub published: usize,
-    /// Dataset messages received during the run (exact counter).
-    pub received: usize,
-    /// FNV-1a fold of the run's [`wfspeak_runtime::TraceSummary`], as a
-    /// `0x`-prefixed hex string (JSON numbers would lose the top bit): the
-    /// tier's determinism checksum, identical across repeat runs of the
-    /// same seed.
-    pub checksum: String,
-    /// Wall-clock seconds for the measured (first) run.
-    pub wall_time_secs: f64,
-    /// Tasks executed per second in the measured run.
-    pub tasks_per_sec: f64,
-    /// Dataset messages moved (published + received) per second.
-    pub messages_per_sec: f64,
-}
-
-/// Machine-readable engine-scaling report emitted as `BENCH_5.json` (see
-/// the crate docs for the schema conventions).
-#[derive(Debug, Clone, Serialize)]
-pub struct RuntimeScalingReport {
-    /// Report schema / sequence tag (`BENCH_5` for the scaling bench).
-    pub bench_id: String,
-    /// Seed the topology generator and the engine ran under.
-    pub seed: u64,
-    /// Timesteps per run.
-    pub timesteps: usize,
-    /// Upper bound on tier size in force (`WFSPEAK_SCALING_MAX`), absent
-    /// for the unbounded full sweep.
-    pub max_tasks: Option<usize>,
-    /// Per-tier workload counters, checksums and rates.
-    pub tiers: Vec<ScalingTierReport>,
-    /// Tasks executed across all measured tiers.
-    pub total_tasks: usize,
-    /// Dataset messages moved across all measured tiers.
-    pub total_messages: usize,
-    /// True when every tier's two runs summarised identically
-    /// (trace fidelity exactly 1.0) — the report's headline determinism
-    /// claim.
-    pub deterministic: bool,
-    /// FNV-1a fold of every tier checksum, in tier order, as a
-    /// `0x`-prefixed hex string.
-    pub checksum: String,
-    /// Wall-clock seconds for all runs (both runs of every tier).
-    pub wall_time_secs: f64,
-    /// Tasks executed per second across the measured (first) runs.
-    pub tasks_per_sec: f64,
-}
-
-impl RuntimeScalingReport {
-    /// Pretty JSON for the `BENCH_5.json` artifact.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
-    }
-}
+/// FNV-1a offset basis: the starting state of every checksum fold.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a over a byte slice, seeded with `hash` (chainable).
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
@@ -669,7 +448,7 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 /// Fold a [`wfspeak_runtime::TraceSummary`] into a stable u64: every map is
 /// ordered (`BTreeMap`), so the fold is a pure function of the counts.
 fn summary_checksum(summary: &wfspeak_runtime::TraceSummary) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for (label, count) in &summary.events {
         hash = fnv1a(hash, label.as_bytes());
         hash = fnv1a(hash, &(*count as u64).to_le_bytes());
@@ -696,29 +475,39 @@ fn summary_checksum(summary: &wfspeak_runtime::TraceSummary) -> u64 {
 /// Run the synthetic-topology suite (every acyclic shape at every
 /// [`wfspeak_systems::topo::BENCH_SIZES`] tier up to `max_tasks`) through
 /// validate → normalize → engine → [`wfspeak_runtime::TraceSummary`], each
-/// tier twice, and report per-tier throughput plus determinism checksums.
+/// tier twice, and report per-tier throughput plus determinism checksums
+/// (`BENCH_5`). A tier's `checksum` is an FNV-1a fold of its summary as a
+/// `0x`-prefixed hex string (JSON numbers would lose the top bit); the
+/// report's `checksum` folds the tier checksums in order, and
+/// `deterministic` says both runs of every tier summarised identically.
 ///
 /// Panics if a generated spec fails validation or an engine run errors —
 /// the suite is the engine's own test corpus, so either is a bug, not a
 /// measurement.
-pub fn measure_runtime_scaling(max_tasks: usize, seed: u64) -> RuntimeScalingReport {
+pub fn measure_runtime_scaling(max_tasks: usize, seed: u64) -> BenchReport {
     use wfspeak_runtime::{Engine, EngineConfig};
     use wfspeak_systems::topo::bench_suite;
 
-    let engine = Engine::new(EngineConfig {
+    let engine_config = EngineConfig {
         elements: 16,
         seed,
         ..EngineConfig::default()
-    });
+    };
+    let config = fields! {
+        "seed": seed,
+        "timesteps": engine_config.timesteps,
+        "elements": engine_config.elements,
+        "max_tasks": (max_tasks != usize::MAX).then_some(max_tasks),
+    };
+    let engine = Engine::new(engine_config);
 
     let start = Instant::now();
     let mut tiers = Vec::new();
     let mut deterministic = true;
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    let mut checksum = FNV_OFFSET;
     let mut total_tasks = 0usize;
     let mut total_messages = 0usize;
     let mut measured_wall = 0.0f64;
-    let mut timesteps = 0usize;
 
     for topo in bench_suite(seed) {
         if topo.tasks > max_tasks {
@@ -739,7 +528,6 @@ pub fn measure_runtime_scaling(max_tasks: usize, seed: u64) -> RuntimeScalingRep
         let tier_wall = tier_start.elapsed().as_secs_f64();
         assert!(outcome.completed, "{}: run did not complete", topo.name());
         let summary = outcome.summary();
-        timesteps = outcome.timesteps;
 
         // Determinism recheck: a second run must summarise bit-identically.
         let recheck = engine
@@ -756,132 +544,39 @@ pub fn measure_runtime_scaling(max_tasks: usize, seed: u64) -> RuntimeScalingRep
         total_tasks += spec.tasks.len();
         total_messages += messages;
         measured_wall += tier_wall;
-        tiers.push(ScalingTierReport {
-            shape: topo.shape.label().to_owned(),
-            tasks: spec.tasks.len(),
-            edges: spec.edges().len(),
-            published,
-            received,
-            checksum: format!("{tier_checksum:#018x}"),
-            wall_time_secs: tier_wall,
-            tasks_per_sec: spec.tasks.len() as f64 / tier_wall,
-            messages_per_sec: messages as f64 / tier_wall,
+        tiers.push(Tier {
+            label: topo.name(),
+            counters: fields! {
+                "tasks": spec.tasks.len(),
+                "edges": spec.edges().len(),
+                "published": published,
+                "received": received,
+                "checksum": format!("{tier_checksum:#018x}"),
+            },
+            timings: fields! {
+                "wall_time_secs": tier_wall,
+                "tasks_per_sec": spec.tasks.len() as f64 / tier_wall,
+                "messages_per_sec": messages as f64 / tier_wall,
+            },
         });
     }
 
-    RuntimeScalingReport {
-        bench_id: "BENCH_5".to_owned(),
-        seed,
-        timesteps,
-        max_tasks: (max_tasks != usize::MAX).then_some(max_tasks),
+    BenchReport {
         tiers,
-        total_tasks,
-        total_messages,
-        deterministic,
-        checksum: format!("{checksum:#018x}"),
-        wall_time_secs: start.elapsed().as_secs_f64(),
-        tasks_per_sec: total_tasks as f64 / measured_wall.max(f64::MIN_POSITIVE),
-    }
-}
-
-/// The tier bound the scaling bench honours: `WFSPEAK_SCALING_MAX` (used by
-/// the CI smoke to stop at the 100-task tier), unbounded by default.
-pub fn scaling_max_tasks() -> usize {
-    std::env::var("WFSPEAK_SCALING_MAX")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX)
-}
-
-/// Run the runtime-scaling bench over the full suite (bounded by
-/// `WFSPEAK_SCALING_MAX` when set), print the headline numbers and write
-/// the report to `path`. Shared by `repro bench-scaling` and the
-/// `runtime_scaling` bench binary so the two artifacts cannot drift.
-pub fn run_runtime_scaling_bench(path: &str) {
-    let report = measure_runtime_scaling(scaling_max_tasks(), 42);
-    println!(
-        "Runtime scaling: {} tiers, {} tasks, {} messages in {:.2}s \
-         = {:.1} tasks/s (deterministic: {}, checksum {})",
-        report.tiers.len(),
-        report.total_tasks,
-        report.total_messages,
-        report.wall_time_secs,
-        report.tasks_per_sec,
-        report.deterministic,
-        report.checksum,
-    );
-    for tier in &report.tiers {
-        println!(
-            "  {:>8} × {:>4}: {:>6} msgs in {:>7.3}s = {:>8.1} msgs/s (checksum {})",
-            tier.shape,
-            tier.tasks,
-            tier.published + tier.received,
-            tier.wall_time_secs,
-            tier.messages_per_sec,
-            tier.checksum,
-        );
-    }
-    match std::fs::write(path, report.to_json() + "\n") {
-        Ok(()) => println!("Wrote {path}\n"),
-        Err(e) => eprintln!("Could not write {path}: {e}\n"),
-    }
-}
-
-/// Machine-readable scoring-service throughput report emitted as
-/// `BENCH_2.json` (see the crate docs for the schema conventions).
-#[derive(Debug, Clone, Serialize)]
-pub struct ServiceBenchReport {
-    /// Report schema / sequence tag (`BENCH_2` for the service bench).
-    pub bench_id: String,
-    /// Concurrent client connections driving the server.
-    pub clients: usize,
-    /// Total score requests (batches) sent across all clients.
-    pub requests: usize,
-    /// Hypotheses per request.
-    pub batch_size: usize,
-    /// Hypotheses scored (`requests × batch_size`), as counted by the server.
-    pub scored_hypotheses: usize,
-    /// Prepared-reference cache hits across all connections.
-    pub cache_hits: u64,
-    /// Prepared-reference cache misses (distinct references prepared).
-    pub cache_misses: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`, in `0.0..=1.0`.
-    pub cache_hit_rate: f64,
-    /// Wall-clock seconds from first request sent to last response read.
-    pub wall_time_secs: f64,
-    /// Requests (batches) completed per second.
-    pub requests_per_sec: f64,
-    /// Hypotheses scored per second — the headline service-throughput number.
-    pub hypotheses_per_sec: f64,
-}
-
-impl ServiceBenchReport {
-    /// Pretty JSON for the `BENCH_2.json` artifact.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
-    }
-}
-
-/// Run the service-throughput measurement at its standard scale (4 clients
-/// × 64 requests × 8 hypotheses), print the headline numbers and write the
-/// report to `path`. Shared by `repro bench-service` and the
-/// `service_throughput` bench binary so the two artifacts cannot drift.
-pub fn run_service_bench(path: &str) {
-    let report = measure_service_throughput(4, 64, 8);
-    println!(
-        "Service throughput: {} requests ({} hypotheses) over {} clients in {:.2}s \
-         = {:.1} req/s, {:.1} hypotheses/s (cache hit rate {:.3})",
-        report.requests,
-        report.scored_hypotheses,
-        report.clients,
-        report.wall_time_secs,
-        report.requests_per_sec,
-        report.hypotheses_per_sec,
-        report.cache_hit_rate,
-    );
-    match std::fs::write(path, report.to_json() + "\n") {
-        Ok(()) => println!("Wrote {path}\n"),
-        Err(e) => eprintln!("Could not write {path}: {e}\n"),
+        ..BenchReport::new(
+            "BENCH_5",
+            config,
+            fields! {
+                "total_tasks": total_tasks,
+                "total_messages": total_messages,
+                "deterministic": deterministic,
+                "checksum": format!("{checksum:#018x}"),
+            },
+            fields! {
+                "wall_time_secs": start.elapsed().as_secs_f64(),
+                "tasks_per_sec": total_tasks as f64 / measured_wall.max(f64::MIN_POSITIVE),
+            },
+        )
     }
 }
 
@@ -923,12 +618,12 @@ fn service_hypotheses(reference: &str, request_index: usize, batch_size: usize) 
 /// Boot a scoring server on an ephemeral loopback port, drive it from
 /// `clients` concurrent connections sending `requests_per_client` pipelined
 /// batches of `batch_size` hypotheses each, and report throughput plus the
-/// shared cache's hit rate.
+/// shared cache's hit rate (`BENCH_2`).
 pub fn measure_service_throughput(
     clients: usize,
     requests_per_client: usize,
     batch_size: usize,
-) -> ServiceBenchReport {
+) -> BenchReport {
     // Pipelining window per client: enough to keep the worker pool busy
     // without the client-side send path outrunning its own reads.
     const WINDOW: usize = 16;
@@ -985,81 +680,26 @@ pub fn measure_service_throughput(
         stats.requests, requests as u64,
         "server counted every batch"
     );
-    ServiceBenchReport {
-        bench_id: "BENCH_2".to_owned(),
-        clients,
-        requests,
-        batch_size,
-        scored_hypotheses: stats.hypotheses as usize,
-        cache_hits: stats.cache_hits,
-        cache_misses: stats.cache_misses,
-        cache_hit_rate: stats.cache_hit_rate(),
-        wall_time_secs: wall,
-        requests_per_sec: requests as f64 / wall,
-        hypotheses_per_sec: stats.hypotheses as f64 / wall,
-    }
-}
-
-/// One client-count tier of the connection-scaling bench.
-#[derive(Debug, Clone, Serialize)]
-pub struct ConnectionTierReport {
-    /// Concurrent closed-loop client connections in this tier.
-    pub clients: usize,
-    /// Total requests completed across all clients (exact counter).
-    pub requests: usize,
-    /// Hypotheses scored (`requests × batch_size`), as counted by the server.
-    pub hypotheses: usize,
-    /// Wall-clock seconds from barrier release to last response read.
-    pub wall_time_secs: f64,
-    /// Requests completed per second — the scaling-curve signal.
-    pub requests_per_sec: f64,
-    /// Hypotheses scored per second.
-    pub hypotheses_per_sec: f64,
-    /// Server-side p50 admission→reply latency, microseconds (power-of-two
-    /// bucket upper bound).
-    pub latency_p50_us: u64,
-    /// Server-side p95 admission→reply latency, microseconds.
-    pub latency_p95_us: u64,
-    /// Server-side p99 admission→reply latency, microseconds.
-    pub latency_p99_us: u64,
-}
-
-/// Machine-readable connection-scaling report emitted as `BENCH_6.json`
-/// (see the crate docs for the schema conventions).
-#[derive(Debug, Clone, Serialize)]
-pub struct ConnectionScalingReport {
-    /// Report schema / sequence tag (`BENCH_6` for the connection bench).
-    pub bench_id: String,
-    /// Event-loop threads each tier's server ran with.
-    pub io_threads: usize,
-    /// Hypotheses per request.
-    pub batch_size: usize,
-    /// Closed-loop client think time between requests, milliseconds: the
-    /// idle gap each connection holds open, which the event loop must
-    /// multiplex without burning a thread on it.
-    pub think_time_ms: u64,
-    /// Client-count bound in force (`WFSPEAK_CONNECTIONS_MAX`), absent for
-    /// the full 4→1024 sweep.
-    pub max_clients: Option<usize>,
-    /// Per-tier workload counters, rates and latency percentiles.
-    pub tiers: Vec<ConnectionTierReport>,
-    /// Requests completed across all tiers.
-    pub total_requests: usize,
-    /// Hypotheses scored across all tiers.
-    pub total_hypotheses: usize,
-    /// FNV-1a fold of every tier's deterministic counters (clients,
-    /// requests, hypotheses — never the timings), as a `0x`-prefixed hex
-    /// string: two runs of the same configuration must match.
-    pub summary_checksum: String,
-    /// Wall-clock seconds across all tiers (including connection setup).
-    pub wall_time_secs: f64,
-}
-
-impl ConnectionScalingReport {
-    /// Pretty JSON for the `BENCH_6.json` artifact.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
-    }
+    BenchReport::new(
+        "BENCH_2",
+        fields! {
+            "clients": clients,
+            "requests_per_client": requests_per_client,
+            "batch_size": batch_size,
+        },
+        fields! {
+            "requests": requests,
+            "scored_hypotheses": stats.hypotheses,
+            "cache_hits": stats.cache_hits,
+            "cache_misses": stats.cache_misses,
+            "cache_hit_rate": stats.cache_hit_rate(),
+        },
+        fields! {
+            "wall_time_secs": wall,
+            "requests_per_sec": requests as f64 / wall,
+            "hypotheses_per_sec": stats.hypotheses as f64 / wall,
+        },
+    )
 }
 
 /// The full-sweep client tiers for the connection bench.
@@ -1081,12 +721,11 @@ pub fn connections_max() -> usize {
 /// percentiles. One fresh server per tier keeps the latency histogram
 /// scoped to the tier.
 fn measure_connection_tier(
-    io_threads: usize,
     clients: usize,
     total_requests: usize,
     batch_size: usize,
-    think_time: std::time::Duration,
-) -> ConnectionTierReport {
+    think_time: Duration,
+) -> Tier {
     use std::sync::Barrier;
 
     // The bench measures the event loop and worker pool, not admission
@@ -1094,9 +733,8 @@ fn measure_connection_tier(
     // request never parks, and keep the admission timeout generous in
     // case it ever does.
     let config = ServiceConfig {
-        io_threads,
         queue_depth: clients.max(256),
-        admission_timeout: std::time::Duration::from_secs(30),
+        admission_timeout: Duration::from_secs(30),
         ..ServiceConfig::default()
     };
     let server = ScoringServer::spawn("127.0.0.1:0", config).expect("loopback bind cannot fail");
@@ -1162,16 +800,23 @@ fn measure_connection_tier(
         stats.latency_samples, requests as u64,
         "every request recorded a latency sample"
     );
-    ConnectionTierReport {
-        clients,
-        requests,
-        hypotheses: stats.hypotheses as usize,
-        wall_time_secs: wall,
-        requests_per_sec: requests as f64 / wall,
-        hypotheses_per_sec: stats.hypotheses as f64 / wall,
-        latency_p50_us: stats.latency_p50_us,
-        latency_p95_us: stats.latency_p95_us,
-        latency_p99_us: stats.latency_p99_us,
+    Tier {
+        label: format!("{clients} clients"),
+        counters: fields! {
+            "clients": clients,
+            "requests": requests,
+            "hypotheses": stats.hypotheses,
+        },
+        // Server-side admission→reply percentiles, in microseconds (the
+        // upper bound of a power-of-two histogram bucket).
+        timings: fields! {
+            "wall_time_secs": wall,
+            "requests_per_sec": requests as f64 / wall,
+            "hypotheses_per_sec": stats.hypotheses as f64 / wall,
+            "latency_p50_us": stats.latency_p50_us,
+            "latency_p95_us": stats.latency_p95_us,
+            "latency_p99_us": stats.latency_p99_us,
+        },
     }
 }
 
@@ -1198,95 +843,68 @@ pub fn connection_tiers_for(max_clients: usize) -> Vec<usize> {
     tiers
 }
 
-/// Run the connection-scaling sweep: the tiers of [`connection_tiers_for`],
-/// each pushing `total_requests` requests of `batch_size` hypotheses
-/// through a fresh event-driven server.
+/// Run the connection-scaling sweep (`BENCH_6`): the tiers of
+/// [`connection_tiers_for`], each pushing `total_requests` requests of
+/// `batch_size` hypotheses through a fresh event-driven server, with
+/// `think_time` between a client's requests. `summary_checksum` folds the
+/// tiers' counters (never the timings), so two runs of the same
+/// configuration match.
 pub fn measure_connection_scaling(
-    io_threads: usize,
     max_clients: usize,
     total_requests: usize,
     batch_size: usize,
-    think_time: std::time::Duration,
-) -> ConnectionScalingReport {
-    let tiers_to_run = connection_tiers_for(max_clients);
+    think_time: Duration,
+) -> BenchReport {
     let start = Instant::now();
-    let tiers: Vec<ConnectionTierReport> = tiers_to_run
-        .iter()
-        .map(|&clients| {
-            measure_connection_tier(io_threads, clients, total_requests, batch_size, think_time)
-        })
+    let tiers: Vec<Tier> = connection_tiers_for(max_clients)
+        .into_iter()
+        .map(|clients| measure_connection_tier(clients, total_requests, batch_size, think_time))
         .collect();
 
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    let mut checksum = FNV_OFFSET;
     for tier in &tiers {
-        for counter in [
-            tier.clients as u64,
-            tier.requests as u64,
-            tier.hypotheses as u64,
-        ] {
-            checksum = fnv1a(checksum, &counter.to_le_bytes());
+        for name in ["clients", "requests", "hypotheses"] {
+            checksum = fnv1a(checksum, &count(&tier.counters, name).to_le_bytes());
         }
     }
-    ConnectionScalingReport {
-        bench_id: "BENCH_6".to_owned(),
-        io_threads,
-        batch_size,
-        think_time_ms: think_time.as_millis() as u64,
-        max_clients: (max_clients != usize::MAX).then_some(max_clients),
-        total_requests: tiers.iter().map(|t| t.requests).sum(),
-        total_hypotheses: tiers.iter().map(|t| t.hypotheses).sum(),
-        summary_checksum: format!("{checksum:#018x}"),
-        wall_time_secs: start.elapsed().as_secs_f64(),
+    let total = |name| tiers.iter().map(|t| count(&t.counters, name)).sum::<u64>();
+    let counters = fields! {
+        "total_requests": total("requests"),
+        "total_hypotheses": total("hypotheses"),
+        "summary_checksum": format!("{checksum:#018x}"),
+    };
+    BenchReport {
         tiers,
-    }
-}
-
-/// Run the connection-scaling bench at its standard scale (4096 requests ×
-/// 4 hypotheses per tier, 2ms closed-loop think time, tiers bounded by
-/// `WFSPEAK_CONNECTIONS_MAX` when set), print the scaling curve and write
-/// the report to `path`. Shared by `repro bench-connections` and the
-/// `connection_scaling` bench binary so the two artifacts cannot drift.
-pub fn run_connection_bench(path: &str, io_threads: usize) {
-    let report = measure_connection_scaling(
-        io_threads,
-        connections_max(),
-        4096,
-        4,
-        std::time::Duration::from_millis(2),
-    );
-    println!(
-        "Connection scaling: {} tiers, {} requests ({} hypotheses) in {:.2}s \
-         with {} io thread(s) (checksum {})",
-        report.tiers.len(),
-        report.total_requests,
-        report.total_hypotheses,
-        report.wall_time_secs,
-        report.io_threads,
-        report.summary_checksum,
-    );
-    for tier in &report.tiers {
-        println!(
-            "  {:>5} clients: {:>6} reqs in {:>7.3}s = {:>8.1} req/s, {:>9.1} hyp/s \
-             (p50 {}us, p95 {}us, p99 {}us)",
-            tier.clients,
-            tier.requests,
-            tier.wall_time_secs,
-            tier.requests_per_sec,
-            tier.hypotheses_per_sec,
-            tier.latency_p50_us,
-            tier.latency_p95_us,
-            tier.latency_p99_us,
-        );
-    }
-    match std::fs::write(path, report.to_json() + "\n") {
-        Ok(()) => println!("Wrote {path}\n"),
-        Err(e) => eprintln!("Could not write {path}: {e}\n"),
+        ..BenchReport::new(
+            "BENCH_6",
+            fields! {
+                "max_clients": (max_clients != usize::MAX).then_some(max_clients),
+                "requests_per_tier": total_requests,
+                "batch_size": batch_size,
+                "think_time_ms": think_time.as_millis() as u64,
+            },
+            counters,
+            fields! { "wall_time_secs": start.elapsed().as_secs_f64() },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An integer counter of `report`, panicking when it is missing.
+    fn counter(report: &BenchReport, name: &str) -> u64 {
+        report.counters[name]
+            .as_i64()
+            .unwrap_or_else(|| panic!("{}: no integer counter {name}", report.bench_id))
+            as u64
+    }
+
+    /// A float field, panicking when it is missing.
+    fn float(fields: &Fields, name: &str) -> f64 {
+        fields[name].as_f64().expect(name)
+    }
 
     #[test]
     fn helpers_build_benchmarks_with_expected_trial_counts() {
@@ -1298,16 +916,16 @@ mod tests {
     fn service_throughput_report_is_consistent() {
         // Small scale so the test stays fast; the real bench uses more.
         let report = measure_service_throughput(2, 12, 4);
-        assert_eq!(report.requests, 24);
-        assert_eq!(report.scored_hypotheses, 24 * 4);
+        assert_eq!(counter(&report, "requests"), 24);
+        assert_eq!(counter(&report, "scored_hypotheses"), 24 * 4);
         // 11 addresses resolve to 7 distinct reference texts (translation
         // targets share the annotation references), and the cache is keyed
         // by text; every later lookup hits.
-        assert_eq!(report.cache_misses, 7);
-        assert_eq!(report.cache_hits as usize, report.requests - 7);
-        assert!(report.cache_hit_rate > 0.5);
-        assert!(report.wall_time_secs > 0.0);
-        assert!(report.hypotheses_per_sec > 0.0);
+        assert_eq!(counter(&report, "cache_misses"), 7);
+        assert_eq!(counter(&report, "cache_hits"), 24 - 7);
+        assert!(float(&report.counters, "cache_hit_rate") > 0.5);
+        assert!(float(&report.timings, "wall_time_secs") > 0.0);
+        assert!(float(&report.timings, "hypotheses_per_sec") > 0.0);
         let json = report.to_json();
         assert!(json.contains("\"bench_id\": \"BENCH_2\""));
         assert!(json.contains("hypotheses_per_sec"));
@@ -1317,27 +935,33 @@ mod tests {
     fn connection_scaling_report_is_consistent() {
         // Tiny sweep: a 2-client cap falls below every sweep point, so the
         // bench runs a single 2-client tier.
-        let report = measure_connection_scaling(1, 2, 8, 2, std::time::Duration::ZERO);
+        let report = measure_connection_scaling(2, 8, 2, Duration::ZERO);
         assert_eq!(report.bench_id, "BENCH_6");
-        assert_eq!(report.io_threads, 1);
-        assert_eq!(report.max_clients, Some(2));
+        assert_eq!(report.config["max_clients"], Value::Int(2));
         assert_eq!(report.tiers.len(), 1);
         let tier = &report.tiers[0];
-        assert_eq!(tier.clients, 2);
-        assert_eq!(tier.requests, 8);
-        assert_eq!(tier.hypotheses, 16);
-        assert_eq!(report.total_requests, 8);
-        assert_eq!(report.total_hypotheses, 16);
+        assert_eq!(count(&tier.counters, "clients"), 2);
+        assert_eq!(count(&tier.counters, "requests"), 8);
+        assert_eq!(count(&tier.counters, "hypotheses"), 16);
+        assert_eq!(counter(&report, "total_requests"), 8);
+        assert_eq!(counter(&report, "total_hypotheses"), 16);
         // Latency percentiles come from the power-of-two histogram: with
         // samples recorded they are nonzero bucket bounds and monotone.
-        assert!(tier.latency_p50_us >= 1);
-        assert!(tier.latency_p50_us <= tier.latency_p95_us);
-        assert!(tier.latency_p95_us <= tier.latency_p99_us);
-        assert!(tier.wall_time_secs > 0.0 && tier.requests_per_sec > 0.0);
+        let [p50, p95, p99] =
+            ["latency_p50_us", "latency_p95_us", "latency_p99_us"].map(|p| count(&tier.timings, p));
+        assert!(p50 >= 1);
+        assert!(p50 <= p95);
+        assert!(p95 <= p99);
+        assert!(float(&tier.timings, "wall_time_secs") > 0.0);
+        assert!(float(&tier.timings, "requests_per_sec") > 0.0);
         // The checksum folds only workload counters, so a re-run of the
         // same configuration matches bit for bit.
-        let rerun = measure_connection_scaling(1, 2, 8, 2, std::time::Duration::ZERO);
-        assert_eq!(report.summary_checksum, rerun.summary_checksum);
+        let rerun = measure_connection_scaling(2, 8, 2, Duration::ZERO);
+        assert_eq!(
+            report.counters["summary_checksum"],
+            rerun.counters["summary_checksum"]
+        );
+        assert_eq!(report.counters, rerun.counters);
         let json = report.to_json();
         assert!(json.contains("\"bench_id\": \"BENCH_6\""));
         assert!(json.contains("latency_p99_us"));
@@ -1359,18 +983,22 @@ mod tests {
     #[test]
     fn evaluation_throughput_report_is_consistent() {
         let report = measure_evaluation_throughput(2);
-        assert_eq!(report.passes, 2);
+        assert_eq!(report.config["passes"], Value::Int(2));
+        let trials = count(&report.config, "trials");
         // 3 config systems + 4 annotation systems + 4 translation pairs,
         // each × 4 models, per pass.
-        assert_eq!(report.grid_cells, (3 + 4 + 4) * 4 * 2);
-        assert_eq!(report.evaluations, report.grid_cells * report.trials);
+        assert_eq!(counter(&report, "grid_cells"), (3 + 4 + 4) * 4 * 2);
+        assert_eq!(
+            counter(&report, "evaluations"),
+            counter(&report, "grid_cells") * trials
+        );
         // 11 grid rows per pass resolve to 7 distinct reference texts
         // (translation targets share the annotation references); the first
         // pass prepares each once, everything later hits.
-        assert_eq!(report.cache_misses, 7);
-        assert_eq!(report.cache_hits, 4 + 11);
-        assert!(report.cache_hit_rate > 0.5);
-        assert!(report.evaluations_per_sec > 0.0);
+        assert_eq!(counter(&report, "cache_misses"), 7);
+        assert_eq!(counter(&report, "cache_hits"), 4 + 11);
+        assert!(float(&report.counters, "cache_hit_rate") > 0.5);
+        assert!(float(&report.timings, "evaluations_per_sec") > 0.0);
         let json = report.to_json();
         assert!(json.contains("\"bench_id\": \"BENCH_3\""));
         assert!(json.contains("evaluations_per_sec"));
@@ -1379,27 +1007,32 @@ mod tests {
     #[test]
     fn execution_throughput_report_is_consistent() {
         let report = measure_execution_throughput(2);
-        assert_eq!(report.passes, 2);
+        assert_eq!(report.config["passes"], Value::Int(2));
+        let trials = count(&report.config, "trials");
         // 5 execution systems × 4 models, per pass.
-        assert_eq!(report.grid_cells, 5 * 4 * 2);
-        assert_eq!(report.executions, report.grid_cells * report.trials);
-        assert!(report.completed > 0, "exact-tier artifacts must complete");
-        assert!(report.unparsed > 0, "wrong-tier artifacts must fail parse");
-        assert!(report.completed + report.unparsed <= report.executions);
-        assert!(report.mean_runnability > 0.0 && report.mean_runnability < 100.0);
-        assert!(report.mean_fidelity > 0.0 && report.mean_fidelity < 100.0);
-        assert!(report.executions_per_sec > 0.0);
+        assert_eq!(counter(&report, "grid_cells"), 5 * 4 * 2);
+        let executions = counter(&report, "executions");
+        assert_eq!(executions, counter(&report, "grid_cells") * trials);
+        let completed = counter(&report, "completed");
+        let unparsed = counter(&report, "unparsed");
+        assert!(completed > 0, "exact-tier artifacts must complete");
+        assert!(unparsed > 0, "wrong-tier artifacts must fail parse");
+        assert!(completed + unparsed <= executions);
+        let runnability = float(&report.counters, "mean_runnability");
+        let fidelity = float(&report.counters, "mean_fidelity");
+        assert!(runnability > 0.0 && runnability < 100.0);
+        assert!(fidelity > 0.0 && fidelity < 100.0);
+        assert!(float(&report.timings, "executions_per_sec") > 0.0);
         // The checksums are deterministic for a fixed seed.
         let again = measure_execution_throughput(2);
-        assert_eq!(report.completed, again.completed);
-        assert_eq!(report.unparsed, again.unparsed);
+        assert_eq!(report.counters, again.counters);
         assert_eq!(
-            report.mean_runnability.to_bits(),
-            again.mean_runnability.to_bits()
+            runnability.to_bits(),
+            float(&again.counters, "mean_runnability").to_bits()
         );
         assert_eq!(
-            report.mean_fidelity.to_bits(),
-            again.mean_fidelity.to_bits()
+            fidelity.to_bits(),
+            float(&again.counters, "mean_fidelity").to_bits()
         );
         let json = report.to_json();
         assert!(json.contains("\"bench_id\": \"BENCH_4\""));
@@ -1409,38 +1042,33 @@ mod tests {
     #[test]
     fn parse_throughput_report_is_consistent() {
         let report = measure_parse_throughput(2);
-        assert_eq!(report.passes, 2);
+        assert_eq!(report.config["passes"], Value::Int(2));
         // 3 configuration systems × 4 models × 5 trials × 3 prompt
         // variants: the corpus the acceptance criterion pins.
-        assert_eq!(report.artifacts, 180);
-        assert!(report.total_bytes > 0);
+        assert_eq!(counter(&report, "artifacts"), 180);
+        assert!(counter(&report, "total_bytes") > 0);
         // Exact-tier Wilkins/ADIOS2 output parses; Henson scripts and
         // degraded tiers populate the failure categories.
-        assert!(report.parsed_ok > 0, "well-formed artifacts must parse");
+        let parsed_ok = counter(&report, "parsed_ok");
+        assert!(parsed_ok > 0, "well-formed artifacts must parse");
+        let categories = report.counters["failure_categories"]
+            .as_object_view()
+            .expect("failure categories are an object");
         assert!(
-            !report.failure_categories.is_empty(),
+            !categories.is_empty(),
             "degraded artifacts must populate failure categories"
         );
-        let failed: usize = report.failure_categories.iter().map(|f| f.count).sum();
-        assert_eq!(report.parsed_ok + failed, report.artifacts);
-        assert!(report.baseline_parses_per_sec > 0.0);
-        assert!(report.owned_parses_per_sec > 0.0);
-        assert!(report.zero_copy_parses_per_sec > 0.0);
+        let failed: u64 = categories
+            .iter()
+            .map(|(_, n)| n.as_i64().unwrap() as u64)
+            .sum();
+        assert_eq!(parsed_ok + failed, counter(&report, "artifacts"));
+        for parser in ["baseline", "owned", "zero_copy"] {
+            assert!(float(&report.timings, &format!("{parser}_parses_per_sec")) > 0.0);
+        }
         // The outcome checksums are deterministic for a fixed seed.
         let again = measure_parse_throughput(2);
-        assert_eq!(report.parsed_ok, again.parsed_ok);
-        assert_eq!(
-            report
-                .failure_categories
-                .iter()
-                .map(|f| (f.category.clone(), f.count))
-                .collect::<Vec<_>>(),
-            again
-                .failure_categories
-                .iter()
-                .map(|f| (f.category.clone(), f.count))
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(report.counters, again.counters);
         let json = report.to_json();
         assert!(json.contains("\"bench_id\": \"BENCH_7\""));
         assert!(json.contains("speedup_zero_copy_vs_baseline"));
@@ -1452,12 +1080,18 @@ mod tests {
         let report = measure_grid_throughput();
         // 3 config systems + 4 annotation systems + 4 translation pairs,
         // each × 4 models.
-        assert_eq!(report.grid_cells, (3 + 4 + 4) * 4);
-        assert_eq!(report.scored_hypotheses, report.grid_cells * report.trials);
-        assert_eq!(report.metric_evaluations, report.scored_hypotheses * 2);
-        assert!(report.prepared_references >= 3);
-        assert!(report.wall_time_secs > 0.0);
-        assert!(report.cells_per_sec > 0.0);
+        assert_eq!(counter(&report, "grid_cells"), (3 + 4 + 4) * 4);
+        assert_eq!(
+            counter(&report, "scored_hypotheses"),
+            counter(&report, "grid_cells") * count(&report.config, "trials")
+        );
+        assert_eq!(
+            counter(&report, "metric_evaluations"),
+            counter(&report, "scored_hypotheses") * 2
+        );
+        assert!(counter(&report, "prepared_references") >= 3);
+        assert!(float(&report.timings, "wall_time_secs") > 0.0);
+        assert!(float(&report.timings, "cells_per_sec") > 0.0);
         let json = report.to_json();
         assert!(json.contains("\"bench_id\": \"BENCH_1\""));
         assert!(json.contains("cells_per_sec"));
@@ -1468,25 +1102,78 @@ mod tests {
         let report = measure_runtime_scaling(100, 42);
         // 2 sizes (10, 100) × 4 acyclic shapes.
         assert_eq!(report.tiers.len(), 8);
-        assert_eq!(report.max_tasks, Some(100));
-        assert!(
-            report.deterministic,
+        assert_eq!(report.config["max_tasks"], Value::Int(100));
+        assert_eq!(
+            report.counters["deterministic"],
+            Value::Bool(true),
             "summaries must match across repeat runs"
         );
-        assert!(report.total_tasks > 0 && report.total_messages > 0);
-        assert!(report.wall_time_secs > 0.0 && report.tasks_per_sec > 0.0);
+        assert!(counter(&report, "total_tasks") > 0 && counter(&report, "total_messages") > 0);
+        assert!(float(&report.timings, "wall_time_secs") > 0.0);
+        assert!(float(&report.timings, "tasks_per_sec") > 0.0);
         for tier in &report.tiers {
-            assert!(tier.tasks <= 100);
-            assert!(tier.published > 0 && tier.received > 0);
-            assert!(tier.messages_per_sec > 0.0);
+            assert!(count(&tier.counters, "tasks") <= 100);
+            assert!(count(&tier.counters, "published") > 0);
+            assert!(count(&tier.counters, "received") > 0);
+            assert!(float(&tier.timings, "messages_per_sec") > 0.0);
         }
         // The checksum is a pure fold over trace summaries, so a rerun with
-        // the same seed reproduces it bit-for-bit.
+        // the same seed reproduces it (and every tier counter) bit for bit.
         let again = measure_runtime_scaling(100, 42);
-        assert_eq!(report.checksum, again.checksum);
-        assert!(report.checksum.starts_with("0x"));
+        assert_eq!(report.counters["checksum"], again.counters["checksum"]);
+        let tier_counters = |r: &BenchReport| -> Vec<Fields> {
+            r.tiers.iter().map(|t| t.counters.clone()).collect()
+        };
+        assert_eq!(tier_counters(&report), tier_counters(&again));
+        assert!(report.counters["checksum"]
+            .as_str()
+            .is_some_and(|c| c.starts_with("0x")));
         let json = report.to_json();
         assert!(json.contains("\"bench_id\": \"BENCH_5\""));
         assert!(json.contains("messages_per_sec"));
+    }
+
+    #[test]
+    fn reports_round_trip_through_json() {
+        let report = measure_connection_scaling(2, 4, 1, Duration::ZERO);
+        let parsed: BenchReport = serde_json::from_str(&report.to_json()).unwrap();
+        assert_eq!(parsed, report);
+        assert!(report.host.cpus >= 1);
+        let summary = report.summary();
+        assert!(summary.starts_with("BENCH_6: summary_checksum=\"0x"));
+        assert!(summary.contains("\n  2 clients: clients=2 hypotheses=4 requests=4 | "));
+    }
+
+    #[test]
+    fn writing_into_a_missing_directory_fails() {
+        let report = BenchReport::new("BENCH_0", Fields::new(), Fields::new(), Fields::new());
+        let dir = std::env::temp_dir().join(format!("wfspeak-missing-{}", std::process::id()));
+        assert!(!dir.exists());
+        assert!(write_report(dir.join("BENCH_6.json"), &report).is_err());
+    }
+
+    #[test]
+    fn committed_artifacts_follow_the_schema() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut seen = Vec::new();
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let Some(stem) = name
+                .strip_prefix("BENCH_")
+                .and_then(|rest| rest.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            let text = std::fs::read_to_string(root.join(&name)).unwrap();
+            let report: BenchReport = serde_json::from_str(&text)
+                .unwrap_or_else(|e| panic!("{name} does not parse as a BenchReport: {e}"));
+            assert_eq!(report.bench_id, format!("BENCH_{stem}"), "{name}");
+            assert!(report.host.cpus >= 1, "{name}: host.cpus");
+            assert!(!report.counters.is_empty(), "{name}: no counters");
+            seen.push(name);
+        }
+        seen.sort();
+        let expected: Vec<&str> = ARTIFACTS.iter().map(|(_, file, _)| *file).collect();
+        assert_eq!(seen, expected, "one committed file per artifact");
     }
 }

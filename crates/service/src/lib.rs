@@ -15,8 +15,8 @@
 //!   (tokenised, interned, n-gram-counted once) across *all* connections;
 //!   [`ServiceStats`] reports its hit rate.
 //! * **Event-driven I/O** ([`server`], [`framing`]) — one nonblocking
-//!   event-loop thread (or a few, `ServiceConfig::io_threads`) multiplexes
-//!   every connection via the vendored `polling` shim (epoll/poll); each
+//!   event-loop thread multiplexes every connection via the vendored
+//!   `polling` shim (epoll/poll); each
 //!   connection is a state machine assembling frames zero-copy with
 //!   [`FrameDecoder`] over the vendored `bytes` crate, so thousands of
 //!   connections cost table entries, not thread pairs.

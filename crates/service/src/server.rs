@@ -1,11 +1,11 @@
-//! The scoring server: a small set of nonblocking I/O loops multiplexing
-//! every connection, feeding the shared worker pool.
+//! The scoring server: one nonblocking I/O loop multiplexing every
+//! connection, feeding the shared worker pool.
 //!
 //! ```text
 //!                 ┌──────────────────────────────────────────────────┐
 //!                 │                  ScoringServer                   │
-//!  client A ─TCP─▶│  I/O loop(s): epoll/poll readiness, one thread   │─▶ client A
-//!  client B ─TCP─▶│  per loop, every connection a state machine      │─▶ client B
+//!  client A ─TCP─▶│  I/O loop: epoll/poll readiness on one thread,   │─▶ client A
+//!  client B ─TCP─▶│  every connection a state machine                │─▶ client B
 //!  client C ─TCP─▶│   [decode frames]──▶ bounded job queue ──┐       │─▶ client C
 //!                 │   [flush replies]◀── completion wakeups ◀┤       │
 //!                 │                                     worker pool  │
@@ -15,16 +15,15 @@
 //!                 └──────────────────────────────────────────────────┘
 //! ```
 //!
-//! * **I/O loops** ([`ServiceConfig::io_threads`], default 1) own the
-//!   listener (loop 0) and all connection sockets, registered with the
-//!   vendored [`polling`] readiness shim. Accepted sockets are nonblocking
-//!   and set `TCP_NODELAY`, so a reply to a pipelined request is not held
-//!   back until the client acknowledges the previous one (Nagle). Each
-//!   connection is a state machine: bytes read nonblockingly are assembled
-//!   into frames by a [`FrameDecoder`], parsed requests are
-//!   admitted to the bounded job queue, and encoded replies are flushed
-//!   back through a per-connection write queue. No thread ever blocks on
-//!   one client's socket.
+//! * **The I/O loop** owns the listener and all connection sockets,
+//!   registered with the vendored [`polling`] readiness shim. Accepted
+//!   sockets are nonblocking and set `TCP_NODELAY`, so a reply to a
+//!   pipelined request is not held back until the client acknowledges the
+//!   previous one (Nagle). Each connection is a state machine: bytes read
+//!   nonblockingly are assembled into frames by a [`FrameDecoder`], parsed
+//!   requests are admitted to the bounded job queue, and encoded replies
+//!   are flushed back through a per-connection write queue. No thread ever
+//!   blocks on one client's socket.
 //! * **Admission control**: when the job queue is full, the connection
 //!   *parks* the decoded request — its read interest is muted, so
 //!   backpressure propagates into the client's TCP window — and retries on
@@ -71,7 +70,7 @@ use crate::protocol::{
     RequestMode, ScoreRequest, ScoreResponse, ServiceStats,
 };
 
-/// Poller key reserved for the listening socket (loop 0 only).
+/// Poller key reserved for the listening socket.
 const LISTENER_KEY: usize = usize::MAX - 1;
 
 /// Ready an accepted socket for an I/O loop: nonblocking, and with Nagle's
@@ -87,11 +86,6 @@ pub(crate) fn prepare_accepted(stream: &TcpStream) -> std::io::Result<()> {
 pub struct ServiceConfig {
     /// Scoring worker threads. `0` means one per available core.
     pub workers: usize,
-    /// Nonblocking I/O loop threads multiplexing the connections. Loop 0
-    /// also owns the listener; new connections are dealt round-robin.
-    /// `0` is treated as 1 — one loop comfortably drives hundreds of
-    /// connections because it never blocks on any of them.
-    pub io_threads: usize,
     /// Bounded job-queue depth; connections park (backpressure) when full.
     pub queue_depth: usize,
     /// Cap on distinct references kept prepared in the shared cache. The
@@ -134,7 +128,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 0,
-            io_threads: 1,
             queue_depth: 256,
             max_cached_references: 4096,
             reply_stall_timeout: std::time::Duration::from_secs(10),
@@ -155,10 +148,6 @@ impl ServiceConfig {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    }
-
-    fn effective_io_threads(&self) -> usize {
-        self.io_threads.max(1)
     }
 }
 
@@ -340,14 +329,12 @@ enum Work<'r> {
     Execute(WorkflowSystemId, Arc<TraceSummary>),
 }
 
-/// One I/O loop's cross-thread mailbox: its poller (for wakeups), the
-/// completion tokens workers push after answering a job, and the inbox of
-/// freshly accepted sockets loop 0 deals out.
+/// The I/O loop's cross-thread mailbox: its poller (for wakeups) and the
+/// completion tokens workers push after answering a job.
 #[derive(Debug)]
 struct IoLoopHandle {
     poller: Poller,
     completions: Mutex<Vec<usize>>,
-    inbox: Mutex<Vec<TcpStream>>,
 }
 
 impl IoLoopHandle {
@@ -355,30 +342,27 @@ impl IoLoopHandle {
         Ok(IoLoopHandle {
             poller: Poller::new()?,
             completions: Mutex::default(),
-            inbox: Mutex::default(),
         })
     }
 }
 
-/// Lifecycle flags and counters shared by every I/O loop and worker.
+/// Lifecycle flags and counters shared by the I/O loop and the workers.
 #[derive(Debug, Default)]
 struct IoShared {
     /// Stop accepting new connections (set first during shutdown).
     stop: AtomicBool,
-    /// Tear down all connections and exit the I/O loops (set after drain).
+    /// Tear down all connections and exit the I/O loop (set after drain).
     closing: AtomicBool,
-    /// Connections currently registered with an I/O loop.
+    /// Connections currently registered with the I/O loop.
     live_connections: AtomicUsize,
-    /// Requests parked on a full job queue across all loops; workers only
-    /// broadcast queue-space wakeups while this is nonzero.
+    /// Requests parked on a full job queue; workers only send queue-space
+    /// wakeups while this is nonzero.
     parked: AtomicUsize,
-    /// Round-robin cursor for dealing accepted sockets to loops.
-    next_loop: AtomicUsize,
 }
 
 /// How a finished job finds its way back to the connection that sent it:
 /// decrement the connection's outstanding-job count, push the connection's
-/// token onto its I/O loop's completion list, and wake that loop to flush.
+/// token onto the I/O loop's completion list, and wake the loop to flush.
 struct CompletionHandle {
     io_loop: Arc<IoLoopHandle>,
     token: usize,
@@ -478,15 +462,15 @@ pub struct ScoringServer {
     addr: std::net::SocketAddr,
     state: Arc<ServiceState>,
     shared: Arc<IoShared>,
-    loops: Vec<Arc<IoLoopHandle>>,
-    io_handles: Vec<JoinHandle<()>>,
+    io_loop: Arc<IoLoopHandle>,
+    io_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
     drain_timeout: Duration,
 }
 
 impl ScoringServer {
     /// Bind `addr` (use port 0 for an ephemeral port) and start the I/O
-    /// loops plus the worker pool.
+    /// loop plus the worker pool.
     pub fn spawn(addr: impl ToSocketAddrs, config: ServiceConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -495,9 +479,7 @@ impl ScoringServer {
         let state = Arc::new(state);
         let shared = Arc::new(IoShared::default());
 
-        let loops = (0..config.effective_io_threads())
-            .map(|_| IoLoopHandle::new().map(Arc::new))
-            .collect::<std::io::Result<Vec<_>>>()?;
+        let io_loop = Arc::new(IoLoopHandle::new()?);
 
         let (job_tx, job_rx) = bounded::<Job>(config.queue_depth.max(1));
         // The vendored channel's receiver is single-consumer; workers take
@@ -510,41 +492,34 @@ impl ScoringServer {
                 let state = Arc::clone(&state);
                 let job_rx = Arc::clone(&job_rx);
                 let shared = Arc::clone(&shared);
-                let loops = loops.clone();
+                let io_loop = Arc::clone(&io_loop);
                 let stall_timeout = config.reply_stall_timeout;
                 std::thread::spawn(move || {
-                    worker_loop(&state, &job_rx, stall_timeout, &shared, &loops)
+                    worker_loop(&state, &job_rx, stall_timeout, &shared, &io_loop)
                 })
             })
             .collect();
 
-        let mut listener = Some(listener);
-        let io_handles = (0..loops.len())
-            .map(|index| {
-                let ctx = LoopCtx {
-                    index,
-                    handle: Arc::clone(&loops[index]),
-                    loops: loops.clone(),
-                    shared: Arc::clone(&shared),
-                    state: Arc::clone(&state),
-                    job_tx: job_tx.clone(),
-                    listener: if index == 0 { listener.take() } else { None },
-                    conns: HashMap::new(),
-                    next_token: 0,
-                    reply_depth: config.reply_queue_depth.max(1),
-                    admission_timeout: config.admission_timeout,
-                    scratch: vec![0u8; 16 * 1024],
-                };
-                std::thread::spawn(move || ctx.run())
-            })
-            .collect();
+        let ctx = LoopCtx {
+            handle: Arc::clone(&io_loop),
+            shared: Arc::clone(&shared),
+            state: Arc::clone(&state),
+            job_tx,
+            listener: Some(listener),
+            conns: HashMap::new(),
+            next_token: 0,
+            reply_depth: config.reply_queue_depth.max(1),
+            admission_timeout: config.admission_timeout,
+            scratch: vec![0u8; 16 * 1024],
+        };
+        let io_handle = Some(std::thread::spawn(move || ctx.run()));
 
         Ok(ScoringServer {
             addr,
             state,
             shared,
-            loops,
-            io_handles,
+            io_loop,
+            io_handle,
             worker_handles,
             drain_timeout: config.drain_timeout,
         })
@@ -560,7 +535,7 @@ impl ScoringServer {
         self.state.stats()
     }
 
-    /// Connections currently registered with the I/O loops. Returns to zero
+    /// Connections currently registered with the I/O loop. Returns to zero
     /// once every client has disconnected and been cleaned up — the
     /// overload regression tests pin that no shed or lost connection leaks
     /// an entry.
@@ -568,10 +543,10 @@ impl ScoringServer {
         self.shared.live_connections.load(Ordering::SeqCst)
     }
 
-    /// Block the calling thread for the server's lifetime (the I/O loops
-    /// only exit on shutdown). `repro serve` parks on this.
+    /// Block the calling thread for the server's lifetime (the I/O loop
+    /// only exits on shutdown). `repro serve` parks on this.
     pub fn wait(mut self) {
-        for handle in self.io_handles.drain(..) {
+        if let Some(handle) = self.io_handle.take() {
             let _ = handle.join();
         }
     }
@@ -589,9 +564,7 @@ impl ScoringServer {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for handle in &self.loops {
-            let _ = handle.poller.notify();
-        }
+        let _ = self.io_loop.poller.notify();
         // Drain phase: wait (bounded by the drain deadline) until every
         // admitted job has left the queue and been replied to, so clients
         // that are reading receive everything they were promised. Clients
@@ -606,18 +579,16 @@ impl ScoringServer {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Brief grace so the I/O loops can flush replies that are queued
+        // Brief grace so the I/O loop can flush replies that are queued
         // but not yet on the wire; best-effort only — the force-disconnect
         // below is the correctness backstop.
         std::thread::sleep(Duration::from_millis(20).min(self.drain_timeout));
-        // Force-disconnect clients that have not hung up: the loops tear
-        // down their connection tables and exit, dropping the last job
-        // senders so workers drain the queue and observe disconnect.
+        // Force-disconnect clients that have not hung up: the loop tears
+        // down its connection table and exits, dropping the last job
+        // sender so workers drain the queue and observe disconnect.
         self.shared.closing.store(true, Ordering::SeqCst);
-        for handle in &self.loops {
-            let _ = handle.poller.notify();
-        }
-        for handle in self.io_handles.drain(..) {
+        let _ = self.io_loop.poller.notify();
+        if let Some(handle) = self.io_handle.take() {
             let _ = handle.join();
         }
         for handle in self.worker_handles.drain(..) {
@@ -628,7 +599,7 @@ impl ScoringServer {
 
 impl Drop for ScoringServer {
     fn drop(&mut self) {
-        if !self.io_handles.is_empty() {
+        if self.io_handle.is_some() {
             self.stop_and_join();
         }
     }
@@ -639,7 +610,7 @@ fn worker_loop(
     jobs: &Mutex<Receiver<Job>>,
     stall_timeout: std::time::Duration,
     shared: &IoShared,
-    loops: &[Arc<IoLoopHandle>],
+    io_loop: &IoLoopHandle,
 ) {
     loop {
         // Holding the lock across `recv` parks exactly one idle worker on the
@@ -654,12 +625,10 @@ fn worker_loop(
         // mid-handoff.
         state.inflight.fetch_add(1, Ordering::SeqCst);
         state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        // This dequeue freed a queue slot; wake the I/O loops if any
+        // This dequeue freed a queue slot; wake the I/O loop if any
         // connection is parked waiting for one.
         if shared.parked.load(Ordering::SeqCst) > 0 {
-            for handle in loops {
-                let _ = handle.poller.notify();
-            }
+            let _ = io_loop.poller.notify();
         }
         // One schedule draw per dequeued job: the Nth job a server handles
         // always gets the Nth fault decision, so chaos runs replay.
@@ -748,12 +717,10 @@ fn fault_offset(len: usize, percent: u8) -> usize {
     len * usize::from(percent % 100) / 100
 }
 
-/// Everything one I/O loop thread owns: its registered connections, the
-/// shared handles, and the listener (loop 0 only).
+/// Everything the I/O loop thread owns: its registered connections, the
+/// shared handles, and the listener (until shutdown closes it).
 struct LoopCtx {
-    index: usize,
     handle: Arc<IoLoopHandle>,
-    loops: Vec<Arc<IoLoopHandle>>,
     shared: Arc<IoShared>,
     state: Arc<ServiceState>,
     job_tx: Sender<Job>,
@@ -790,7 +757,6 @@ impl LoopCtx {
             if self.shared.stop.load(Ordering::SeqCst) {
                 self.close_listener();
             }
-            self.drain_inbox();
             let completions: Vec<usize> = std::mem::take(&mut *self.handle.completions.lock());
             for event in events.drain(..) {
                 if event.key == LISTENER_KEY {
@@ -834,13 +800,6 @@ impl LoopCtx {
         }
     }
 
-    fn drain_inbox(&mut self) {
-        let incoming: Vec<TcpStream> = std::mem::take(&mut *self.handle.inbox.lock());
-        for stream in incoming {
-            self.register(stream);
-        }
-    }
-
     fn accept_ready(&mut self) {
         loop {
             let accepted = {
@@ -850,16 +809,7 @@ impl LoopCtx {
                 listener.accept()
             };
             match accepted {
-                Ok((stream, _)) => {
-                    let target =
-                        self.shared.next_loop.fetch_add(1, Ordering::Relaxed) % self.loops.len();
-                    if target == self.index {
-                        self.register(stream);
-                    } else {
-                        self.loops[target].inbox.lock().push(stream);
-                        let _ = self.loops[target].poller.notify();
-                    }
-                }
+                Ok((stream, _)) => self.register(stream),
                 Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
                 // Transient per-connection accept failures (e.g. the peer
@@ -1769,23 +1719,6 @@ mod tests {
         assert!(response.ok);
         assert_eq!(response.stats.unwrap().requests, 0);
         assert_eq!(state.stats().requests, 0);
-    }
-
-    #[test]
-    fn io_thread_zero_is_clamped_to_one_loop() {
-        let config = ServiceConfig {
-            io_threads: 0,
-            ..ServiceConfig::default()
-        };
-        assert_eq!(config.effective_io_threads(), 1);
-        assert_eq!(
-            ServiceConfig {
-                io_threads: 4,
-                ..ServiceConfig::default()
-            }
-            .effective_io_threads(),
-            4
-        );
     }
 
     #[test]
